@@ -2,10 +2,17 @@
 
 Every series class confines its representatives to one period window of the
 modulus, so finitely many candidates cover all series of a given index; each
-candidate is kept iff it is solid.  Validity of everything emitted is
-re-checked as a defence against bugs in either condition path.
+candidate is kept iff it is solid.  The window loops run on plain integers:
+in classes 1-3 a non-coprime (a0, a1, a2) skips its whole a3 range, and each
+candidate meets an integer pre-filter (cond_iv, coprime triples, pairwise
+gcds dividing d, d > a3) before a Quintuple is built.  The pre-filter only
+restates necessary conditions of ``is_solid``, which still decides on the
+~2% that are built.  Validity of everything emitted is re-checked as a
+defence against bugs in either condition path.
 """
 from __future__ import annotations
+
+from math import gcd
 
 from .conditions import is_solid, quasismooth_divisibility
 from .core import Classification, Quintuple, Series, ceil_div, lcm_list
@@ -14,6 +21,16 @@ from .tables import instantiate
 
 
 def _candidate(a0: int, a1: int, a2: int, a3: int, d: int) -> Quintuple | None:
+    """The window candidate as a Quintuple if it is solid, else None."""
+    # integer pre-filter: cond_iv (a1 and a2 fail it most often), then
+    # non-degeneracy and well-formedness, exactly as is_solid phrases them
+    for ai in (a1, a2, a0, a3):
+        if (d - a0) % ai and (d - a1) % ai and (d - a2) % ai and (d - a3) % ai:
+            return None
+    if (d <= a3 or gcd(a0, a1, a2) != 1 or gcd(a0, a1, a3) != 1 or gcd(a0, a2, a3) != 1
+            or gcd(a1, a2, a3) != 1 or d % gcd(a0, a1) or d % gcd(a0, a2) or d % gcd(a0, a3)
+            or d % gcd(a1, a2) or d % gcd(a1, a3) or d % gcd(a2, a3)):
+        return None
     q = Quintuple(a0, a1, a2, a3, d)
     return q if is_solid(q) else None
 
@@ -33,12 +50,16 @@ def enumerate_class(class_number: int, index: int) -> list[Series]:
             a1 = index - a0
             m = lcm_list((a0, a1))
             for a2 in range(a1, a1 + m):
+                if gcd(a0, a1, a2) != 1:
+                    continue
                 for a3 in range(a2, a2 + m):
                     emit(_candidate(a0, a1, a2, a3, a2 + a3), 1)
     elif class_number == 2:
         for a0 in range(1, index // 2 + 1):
             a2 = index - a0
             for a1 in range(a0, index - a0):
+                if gcd(a0, a1, a2) != 1:
+                    continue
                 m = lcm_list((a0, a1, a2))
                 for a3 in range(a2, a2 + m):
                     emit(_candidate(a0, a1, a2, a3, a1 + a3), 2)
@@ -46,6 +67,8 @@ def enumerate_class(class_number: int, index: int) -> list[Series]:
         for a1 in range(2, index // 2 + 1):
             a2 = index - a1
             for a0 in range(1, a1):
+                if gcd(a0, a1, a2) != 1:
+                    continue
                 m = lcm_list((a0, a1, a2))
                 for a3 in range(a2, a2 + m):
                     emit(_candidate(a0, a1, a2, a3, a0 + a3), 3)
@@ -72,6 +95,21 @@ def enumerate_class(class_number: int, index: int) -> list[Series]:
     return found
 
 
+def _outside_series(quintuples: list[Quintuple], series: list[Series]) -> list[Quintuple]:
+    """The quintuples no series contains, unique and sorted."""
+    # steps that leave a0 and a1 fixed confine a series' members to its base's
+    # (a0, a1); series with other steps (some table rows) are always scanned
+    by_head: dict[tuple[int, int] | None, list[Series]] = {}
+    for s in series:
+        fixed = all(step[0] == step[1] == 0 for step in s.steps)
+        by_head.setdefault((s.base.a0, s.base.a1) if fixed else None, []).append(s)
+    unkeyed = by_head.get(None, [])
+    return sorted(
+        q for q in set(quintuples)
+        if not any(contains(s, q) for s in by_head.get((q.a0, q.a1), []) + unkeyed)
+    )
+
+
 def _assert_valid(q: Quintuple) -> None:
     if not quasismooth_divisibility(q).accepted:
         raise RuntimeError(f"emission failed the condition suite: {q}")
@@ -94,9 +132,7 @@ def classify_index(index: int) -> Classification:
     one_param = dedup(one_param)
     all_series = two_param + one_param
 
-    sporadic = sorted(
-        q for q in set(table_sporadic) if not any(contains(s, q) for s in all_series)
-    )
+    sporadic = _outside_series(table_sporadic, all_series)
 
     for s in all_series:
         _assert_valid(s.base)

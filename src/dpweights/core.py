@@ -49,7 +49,8 @@ class Quintuple:
 
     def __post_init__(self) -> None:
         w = (self.a0, self.a1, self.a2, self.a3)
-        if any(not isinstance(x, int) for x in (*w, self.d)):
+        # exact type test: it also rejects bool, a subclass of int
+        if not (type(self.a0) is type(self.a1) is type(self.a2) is type(self.a3) is type(self.d) is int):
             raise ValueError(f"weights and degree must be integers: {w} d={self.d}")
         if any(x < 1 for x in w):
             raise ValueError(f"weights must be positive: {w}")
@@ -163,7 +164,9 @@ class Series:
     @classmethod
     def from_dict(cls, data: dict) -> "Series":
         base = Quintuple(*data["base"])
-        steps = tuple(tuple(int(x) for x in s) for s in data["steps"])
+        steps = tuple(tuple(s) for s in data["steps"])
+        if any(type(x) is not int for step in steps for x in step):
+            raise ValueError(f"step entries must be integers: {data['steps']}")
         return cls(SeriesClass(data["class"]), base, steps)
 
 

@@ -1,13 +1,23 @@
 """Classifier output: emission shape, set equality with the golden tables."""
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 from golden_tables import expand_golden
 
-from dpweights.classify import classify_index, enumerate_class, expand_classification
-from dpweights.conditions import quasismooth_divisibility
-from dpweights.core import Quintuple, SeriesClass
-from dpweights.series import canonical_key, contains, expand
+from dpweights.classify import _outside_series, classify_index, enumerate_class, expand_classification
+from dpweights.cli import main
+from dpweights.conditions import is_solid, quasismooth_divisibility
+from dpweights.core import Quintuple, Series, SeriesClass, ceil_div, lcm_list
+from dpweights.series import canonical_key, contains, expand, make_series
+from dpweights.tables import instantiate
+
+# sha256 of `classify --index I --format json` for I = 1..30, recorded before
+# the window loops gained their integer pre-filter
+GOLDEN_SHA256 = json.loads((Path(__file__).parent / "golden_classify_sha256.json").read_text())
 
 # emission shape is a presentation choice; the generated sets are the contract
 EMISSION_COUNTS = {
@@ -85,3 +95,73 @@ class TestExpandClassification:
         members = expand_classification(classify_index(5), 90)
         assert members == sorted(set(members))
         assert all(q.a3 <= 90 and q.index == 5 for q in members)
+
+
+def reference_enumeration(class_number: int, index: int) -> list[Series]:
+    """The definitional enumeration: every window candidate built and tested by is_solid."""
+    found: list[Series] = []
+
+    def emit(*entries: int) -> None:
+        q = Quintuple(*entries)
+        if is_solid(q):
+            found.append(make_series(class_number, q))
+
+    if class_number == 1:
+        for a0 in range(1, index // 2 + 1):
+            a1 = index - a0
+            m = lcm_list((a0, a1))
+            for a2 in range(a1, a1 + m):
+                for a3 in range(a2, a2 + m):
+                    emit(a0, a1, a2, a3, a2 + a3)
+    elif class_number == 2:
+        for a0 in range(1, index // 2 + 1):
+            a2 = index - a0
+            for a1 in range(a0, index - a0):
+                m = lcm_list((a0, a1, a2))
+                for a3 in range(a2, a2 + m):
+                    emit(a0, a1, a2, a3, a1 + a3)
+    elif class_number == 3:
+        for a1 in range(2, index // 2 + 1):
+            a2 = index - a1
+            for a0 in range(1, a1):
+                m = lcm_list((a0, a1, a2))
+                for a3 in range(a2, a2 + m):
+                    emit(a0, a1, a2, a3, a0 + a3)
+    elif class_number == 4:
+        for k in range(max(ceil_div(index, 3), 1), index):
+            a0, a1 = index - k, 2 * k
+            for a2 in range(a1, a1 + lcm_list((a0, a1))):
+                emit(a0, a1, a2, a2 + k, 2 * (a2 + k))
+    elif class_number == 5:
+        for k in range(1, ceil_div(index, 3)):
+            a0, a1 = 2 * k, index - k
+            for a2 in range(a1, a1 + lcm_list((a0, a1))):
+                emit(a0, a1, a2, a2 + k, 2 * (a2 + k))
+    else:
+        for k in range(1, index):
+            a0, a1 = index - k, index + k
+            for a2 in range(a1, a1 + lcm_list((a0, a1, k))):
+                emit(a0, a1, a2, a2 + k, a1 + 2 * a2)
+    return found
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("index", range(1, 31))
+    def test_json_matches_golden_digest(self, capsys, index):
+        assert main(["classify", "--index", str(index), "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[str(index)]
+
+    @pytest.mark.parametrize("class_number", range(1, 7))
+    def test_enumeration_matches_definition(self, class_number):
+        for index in range(1, 15):
+            assert enumerate_class(class_number, index) == reference_enumeration(class_number, index), index
+
+    def test_keyed_sporadic_filter_matches_full_scan(self):
+        for index in range(1, 13):
+            c = classify_index(index)
+            table_sporadic = instantiate(index)[1]
+            plain = sorted(
+                q for q in set(table_sporadic) if not any(contains(s, q) for s in c.all_series)
+            )
+            assert _outside_series(table_sporadic, list(c.all_series)) == plain == list(c.sporadic), index

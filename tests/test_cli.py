@@ -116,6 +116,21 @@ class TestExpand:
         assert code == 2
         assert err.startswith("ERROR:")
 
+    @pytest.mark.parametrize(
+        "base, step",
+        [
+            ("[1, 1, 2, 3, 4]", '["0", "0", "0", "2", "2"]'),  # strings are not coerced
+            ("[1, 1, 2, 3, 4]", "[0, 0, 0, 2.0, 2]"),
+            ("[1, 1, 2, 3, 4]", "[0, 0, 0, 2, true]"),
+            ("[true, 1, 2, 3, 4]", "[0, 0, 0, 2, 2]"),
+        ],
+    )
+    def test_non_integer_entries(self, capsys, base, step):
+        series = f'{{"base": {base}, "steps": [{step}], "class": "class2"}}'
+        code, out, err = run(capsys, "expand", "--series", series, "--bound", "9")
+        assert code == 2 and out == ""
+        assert err.startswith("ERROR:")
+
 
 class TestVerify:
     def test_match(self, capsys):

@@ -50,6 +50,10 @@ class TestQuintuple:
             (1, 2, 3, 5, 5),    # degree not above top weight
             (1, 2, 3, 5, 11),   # index would be zero
             (1, 2, 3, 5, 13),   # index would be negative
+            (True, 1, 1, 1, 3),  # bool is an int subclass, not a weight
+            (1, 1, 1, 1, True),
+            (1.0, 1, 1, 1, 3),   # non-integer entries
+            ("1", 1, 1, 1, 3),
         ],
     )
     def test_rejects(self, bad):
