@@ -15,14 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from dpweights.classify import classify_index
-from dpweights.cli import _emit_csv, _emit_json, _emit_latex, _emit_text
+from dpweights.cli import render
 
-_EMITTERS = {
-    "text": lambda c: _emit_text(c, None),
-    "json": _emit_json,
-    "csv": _emit_csv,
-    "latex": _emit_latex,
-}
 _SUFFIX = {"text": "txt", "json": "json", "csv": "csv", "latex": "tex"}
 
 
@@ -38,7 +32,7 @@ def parse_config() -> RunConfig:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--min-index", type=int, default=1)
     p.add_argument("--max-index", type=int, default=6)
-    p.add_argument("--format", choices=sorted(_EMITTERS), default="text")
+    p.add_argument("--format", choices=sorted(_SUFFIX), default="text")
     p.add_argument("--out-dir", type=Path, default=Path("build/tables"))
     a = p.parse_args()
     if not 1 <= a.min_index <= a.max_index:
@@ -54,7 +48,7 @@ def main() -> None:
         t0 = time.monotonic()
         c = classify_index(index)
         path = cfg.out_dir / f"index_{index:02d}.{_SUFFIX[cfg.fmt]}"
-        path.write_text(_EMITTERS[cfg.fmt](c))
+        path.write_text(render(c, cfg.fmt))
         manifest[index] = {
             "two_parameter_series": len(c.two_param),
             "one_parameter_series": len(c.one_param),

@@ -9,7 +9,6 @@ from .classify import classify_index, enumerate_class, expand_classification
 from .conditions import (
     ConditionReport,
     cond_iv,
-    cond_v_vi,
     covered_edge_pair,
     detect_class,
     detect_types,
@@ -53,7 +52,6 @@ __all__ = [
     "ceil_div",
     "classify_index",
     "cond_iv",
-    "cond_v_vi",
     "contains",
     "covered_edge_pair",
     "detect_class",

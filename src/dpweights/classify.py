@@ -23,7 +23,8 @@ from .tables import instantiate
 def _candidate(a0: int, a1: int, a2: int, a3: int, d: int) -> Quintuple | None:
     """The window candidate as a Quintuple if it is solid, else None."""
     # integer pre-filter: cond_iv (a1 and a2 fail it most often), then
-    # non-degeneracy and well-formedness, exactly as is_solid phrases them
+    # non-degeneracy, which Quintuple requires, and well-formedness, exactly
+    # as is_solid phrases them
     for ai in (a1, a2, a0, a3):
         if (d - a0) % ai and (d - a1) % ai and (d - a2) % ai and (d - a3) % ai:
             return None

@@ -3,7 +3,10 @@
 Two deliberately independent formulations are implemented:
 
 * a divisibility form (``quasismooth_divisibility``), used by the classifier,
-  which phrases every condition as divisibility of degree differences, and
+  which phrases every condition as divisibility of degree differences; each
+  pair condition asks whether r = ai*c + aj*b for some b, c >= 0, which one
+  kernel (``_reaches``) answers in closed form, so its cost is O(log d) per
+  pair and does not grow with the degree, and
 * a monomial form (``quasismooth_monomial``), used by the brute-force oracle,
   which searches directly for the monomials a general degree-d polynomial
   must contain.
@@ -41,7 +44,6 @@ class ConditionReport:
     quintuple: Quintuple
     wf_pairs: PairChecks          # gcd(ai, aj) divides d
     wf_triples: TripleChecks      # gcd of any three weights is 1
-    nondegenerate: bool           # d > a3
     cond_iv: bool
     cond_v: PairChecks            # only pairs with gcd > 1
     cond_vi: PairChecks
@@ -65,17 +67,10 @@ class ConditionReport:
     def accepted(self) -> bool:
         return (
             self.well_formed
-            and self.nondegenerate
             and self.cond_iv
             and self.cond_v_ok
             and self.cond_vi_ok
         )
-
-
-def _resolve_index(q: Quintuple, index: int | None) -> int:
-    if index is not None and index != q.index:
-        raise ValueError(f"index {index} inconsistent with quintuple {q} (index {q.index})")
-    return q.index
 
 
 def well_formed(q: Quintuple) -> bool:
@@ -115,43 +110,21 @@ def covered_edge_pair(q: Quintuple) -> tuple[int, int] | None:
     return (w.index(2 * v), w.index((9 * v - 7) // 2))
 
 
-def _pair_v(ai: int, aj: int, d: int) -> bool:
-    # d - aj*bj divisible by ai for bj = 0 (d itself), 1, or some bj >= 2,
-    # or d - ai divisible by aj
-    if d % ai == 0 or d % aj == 0:
-        return True
-    if (d - aj) % ai == 0 or (d - ai) % aj == 0:
-        return True
-    for bj in range(2, d // aj + 1):
-        if (d - aj * bj) % ai == 0:
-            return True
-    return False
+def _reaches(ai: int, aj: int, r: int) -> bool:
+    """Some b in [0, r // aj] makes r - aj*b divisible by ai.
 
-
-def _pair_vi_branch(ai: int, aj: int, ak: int, d: int) -> bool:
-    # cover the coordinate edge k against the pair (i, j)
-    r = d - ak
+    The least b >= 0 solving aj*b = r (mod ai) has a closed form: with
+    g = gcd(ai, aj) it exists iff g divides r, and it is
+    (r/g) * inv(aj/g) mod (ai/g).  The test costs O(log r), not O(r).
+    The two exits first spare the modular inverse on the common cases.
+    """
     if r % ai == 0 or r % aj == 0:
         return True
-    for cj in range(1, r // aj + 1):
-        if (r - aj * cj) % ai == 0:
-            return True
-    return False
-
-
-def cond_v_vi(q: Quintuple) -> tuple[bool, bool]:
-    """Flags for the shared-factor pair condition and the pair/edge condition."""
-    w, d = q.weights, q.d
-    v_ok = all(_pair_v(w[i], w[j], d) for i, j in PAIRS if gcd(w[i], w[j]) > 1)
-    vi_ok = True
-    for i, j in PAIRS:
-        if _pair_v(w[i], w[j], d):
-            continue
-        k, l = (x for x in range(4) if x not in (i, j))
-        if not (_pair_vi_branch(w[i], w[j], w[k], d) and _pair_vi_branch(w[i], w[j], w[l], d)):
-            vi_ok = False
-            break
-    return v_ok, vi_ok
+    g = gcd(ai, aj)
+    if r % g:
+        return False
+    m = ai // g
+    return (r // g) * pow(aj // g, -1, m) % m <= r // aj
 
 
 def quasismooth_divisibility(q: Quintuple) -> ConditionReport:
@@ -167,25 +140,25 @@ def quasismooth_divisibility(q: Quintuple) -> ConditionReport:
         ((i, j), d % gcd(w[i], w[j]) == 0 or (i, j) == waived) for i, j in PAIRS
     )
     wf_triples = tuple(((i, j, k), gcd(w[i], w[j], w[k]) == 1) for i, j, k in TRIPLES)
-    v_detail = tuple(
-        ((i, j), _pair_v(w[i], w[j], d) or (i, j) == waived)
-        for i, j in PAIRS
-        if gcd(w[i], w[j]) > 1
-    )
+    v_detail = []
     vi_detail = []
     for i, j in PAIRS:
-        ok = _pair_v(w[i], w[j], d)
-        if not ok:
+        ai, aj = w[i], w[j]
+        # one pure-pair test serves (v) and (vi); without a pure pair
+        # monomial, (vi) needs both cross monomials covering edges k and l
+        ok = pure = _reaches(ai, aj, d)
+        if gcd(ai, aj) > 1:
+            v_detail.append(((i, j), pure or (i, j) == waived))
+        if not pure:
             k, l = (x for x in range(4) if x not in (i, j))
-            ok = _pair_vi_branch(w[i], w[j], w[k], d) and _pair_vi_branch(w[i], w[j], w[l], d)
+            ok = _reaches(ai, aj, d - w[k]) and _reaches(ai, aj, d - w[l])
         vi_detail.append(((i, j), ok))
     return ConditionReport(
         quintuple=q,
         wf_pairs=wf_pairs,
         wf_triples=wf_triples,
-        nondegenerate=q.d > q.a3,
         cond_iv=cond_iv(q),
-        cond_v=v_detail,
+        cond_v=tuple(v_detail),
         cond_vi=tuple(vi_detail),
         types=detect_types(q),
         series_class=detect_class(q),
@@ -267,9 +240,9 @@ def quasismooth_monomial(q: Quintuple) -> bool:
     return True
 
 
-def detect_types(q: Quintuple, index: int | None = None) -> frozenset[str]:
+def detect_types(q: Quintuple) -> frozenset[str]:
     """Which of the three series-producing structure types the quintuple fits."""
-    idx = _resolve_index(q, index)
+    idx = q.index
     w = q.weights
     found = set()
     if any(w[i] + w[j] == idx for i, j in PAIRS):
@@ -286,13 +259,13 @@ def detect_types(q: Quintuple, index: int | None = None) -> frozenset[str]:
     return frozenset(found)
 
 
-def detect_class(q: Quintuple, index: int | None = None) -> int | None:
+def detect_class(q: Quintuple) -> int | None:
     """The series class (1..6) the quintuple belongs to, or None.
 
     The six classes partition the type-I..III quintuples by which weights
     realise the defining relation; the guards make them mutually exclusive.
     """
-    idx = _resolve_index(q, index)
+    idx = q.index
     a0, a1, a2, a3 = q.weights
     if a0 + a1 == idx:
         return 1
@@ -310,18 +283,11 @@ def detect_class(q: Quintuple, index: int | None = None) -> int | None:
     return None
 
 
-def is_solid(q: Quintuple, index: int | None = None) -> bool:
-    """Well-formed, non-degenerate, pure-power covered, and of some type."""
-    idx = _resolve_index(q, index)
-    return (
-        cond_iv(q)
-        and well_formed(q)
-        and q.d > q.a3
-        and bool(detect_types(q, idx))
-    )
+def is_solid(q: Quintuple) -> bool:
+    """Well-formed, pure-power covered, and of some type."""
+    return cond_iv(q) and well_formed(q) and bool(detect_types(q))
 
 
-def is_valid(q: Quintuple, index: int | None = None) -> bool:
+def is_valid(q: Quintuple) -> bool:
     """Accepted by the full divisibility-form suite and of some type."""
-    idx = _resolve_index(q, index)
-    return bool(detect_types(q, idx)) and quasismooth_divisibility(q).accepted
+    return bool(detect_types(q)) and quasismooth_divisibility(q).accepted

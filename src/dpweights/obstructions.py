@@ -30,12 +30,9 @@ class ObstructionReport:
         return self.gmsy or self.spotti
 
 
-def k_squared(q: Quintuple, index: int | None = None) -> Fraction:
+def k_squared(q: Quintuple) -> Fraction:
     """Exact rational self-intersection I^2 d / (a0 a1 a2 a3)."""
-    idx = q.index if index is None else index
-    if idx != q.index:
-        raise ValueError(f"index {index} inconsistent with quintuple {q}")
-    return Fraction(idx * idx * q.d, q.a0 * q.a1 * q.a2 * q.a3)
+    return Fraction(q.index * q.index * q.d, q.a0 * q.a1 * q.a2 * q.a3)
 
 
 def max_group_order(q: Quintuple) -> int:
@@ -56,8 +53,8 @@ def max_group_order(q: Quintuple) -> int:
     return max(orders)
 
 
-def obstruction_report(q: Quintuple, index: int | None = None) -> ObstructionReport:
-    k2 = k_squared(q, index)
+def obstruction_report(q: Quintuple) -> ObstructionReport:
+    k2 = k_squared(q)
     n = max_group_order(q)
     return ObstructionReport(
         k_squared=k2,

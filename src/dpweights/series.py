@@ -31,19 +31,16 @@ def defining_weights(class_number: int, rep: Quintuple) -> tuple[int, ...]:
     raise ValueError(f"series class number must be 1..6, got {class_number}")
 
 
-def make_series(class_number: int, rep: Quintuple, modulus: int | None = None) -> Series:
+def make_series(class_number: int, rep: Quintuple) -> Series:
     """Build the series of the given class through a solid representative.
 
-    The modulus, if passed, must equal the lcm of the class-defining weights;
-    omitted, it is computed.
+    The modulus is the lcm of the class-defining weights.
     """
     if not is_solid(rep):
         raise ValueError(f"series representative {rep} is not solid")
     if detect_class(rep) != class_number:
         raise ValueError(f"{rep} does not lie in series class {class_number}")
     m = lcm_list(defining_weights(class_number, rep))
-    if modulus is not None and modulus != m:
-        raise ValueError(f"modulus {modulus} does not match class-defining lcm {m}")
     steps = tuple(
         tuple(m * e for e in shape)  # type: ignore[misc]
         for shape in _STEP_SHAPES[class_number]

@@ -2,12 +2,42 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
+import time
+from contextlib import redirect_stdout
+from itertools import combinations_with_replacement
 
 import pytest
 
 from dpweights.cli import main
+from dpweights.oracle import brute_force
+
+# sha256 over exit code and stdout of `check` on check_inputs(), recorded
+# before the pair conditions moved to their closed form
+CHECK_SHA256 = "4d8f5bb7d8a70252a89b9f4e5e3e5cb34e63a6d563c660a57c08d8af9be8a998"
+
+
+def check_inputs() -> list[tuple[int, ...]]:
+    """(a0, a1, a2, a3, index) for `check`: oracle members, a stride of all
+    small candidates, and odd-degree (2, 4, a2, a3) rejects with d near 10^5..10^6."""
+    cases = []
+    for index in range(1, 7):
+        cases += [(*q.weights, index) for q in brute_force(index, 24)[::5][:15]]
+    candidates = [
+        (*w, index)
+        for w in combinations_with_replacement(range(1, 13), 4)
+        for index in range(1, 7)
+        if sum(w) - index > w[3]
+    ]
+    cases += candidates[::90]
+    for k in range(20):
+        index, a2 = 1 + k % 6, 5 + k
+        a3 = 10**5 + 45_000 * k
+        a3 += (6 + a2 + a3 - index) % 2 == 0  # odd degree: the pair (2, 4) fails
+        cases.append((2, 4, a2, a3, index))
+    return cases
 
 
 def run(capsys, *argv):
@@ -96,6 +126,22 @@ class TestCheck:
         code, _, err = run(capsys, "check", "1", "2", "3", "5")
         assert code == 2
         assert err.startswith("ERROR:")
+
+    def test_huge_degree_bounded_time(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "check", "2", "4", "5", "999999999995", "--index", "5")
+        assert time.perf_counter() - start < 2.0
+        assert code == 1
+        assert "forms-agree=true" in out
+
+    def test_output_matches_golden_digest(self):
+        digest = hashlib.sha256()
+        for *weights, index in check_inputs():
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                code = main(["check", *map(str, weights), "--index", str(index)])
+            digest.update(f"{code}\n{buf.getvalue()}".encode())
+        assert digest.hexdigest() == CHECK_SHA256
 
 
 class TestExpand:

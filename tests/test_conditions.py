@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpweights.conditions import (
+    _reaches,
     cond_iv,
-    cond_v_vi,
     covered_edge_pair,
     detect_class,
     detect_types,
@@ -21,6 +21,11 @@ from dpweights.conditions import (
     well_formed,
 )
 from dpweights.core import Quintuple
+
+
+def reaches_by_search(ai: int, aj: int, r: int) -> bool:
+    """The definitional pair test: some b in [0, r // aj] with ai | r - aj*b."""
+    return any((r - aj * b) % ai == 0 for b in range(r // aj + 1))
 
 
 def quintuples_up_to(bound: int, max_index: int):
@@ -82,7 +87,6 @@ class TestForms:
     def test_report_detail(self):
         r = quasismooth_divisibility(Quintuple(1, 1, 2, 2, 5))
         assert not r.accepted
-        assert r.nondegenerate
         assert r.cond_iv
         failing = [p for p, ok in r.wf_pairs if not ok]
         assert failing == [(2, 3)]
@@ -115,13 +119,19 @@ class TestCoveredEdge:
         assert gcd(6, 10) == 2 and 27 % 2 == 1  # the literal checks would fail
 
     def test_raw_flags_not_waived(self):
-        # the low-level helper reports the literal pair condition
-        v_ok, vi_ok = cond_v_vi(Quintuple(6, 7, 9, 10, 27))
-        assert not v_ok
-        assert vi_ok
+        # the pair kernel reports the literal condition for the waived pair
+        # (6, 10) at d = 27; both edge cross monomials exist
+        assert not _reaches(6, 10, 27)
+        assert _reaches(6, 10, 27 - 7) and _reaches(6, 10, 27 - 9)
 
 
 class TestPieces:
+    def test_reaches_matches_search(self):
+        for ai in range(1, 41):
+            for aj in range(1, 41):
+                for r in range(1, 401):
+                    assert _reaches(ai, aj, r) == reaches_by_search(ai, aj, r), (ai, aj, r)
+
     def test_well_formed(self):
         assert well_formed(Quintuple(1, 2, 3, 5, 10))
         assert not well_formed(Quintuple(1, 2, 2, 4, 8))      # triple gcd 2

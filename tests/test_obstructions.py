@@ -43,8 +43,6 @@ class TestPieces:
         assert k_squared(Quintuple(1, 1, 1, 1, 3)) == Fraction(3)
         assert k_squared(Quintuple(1, 2, 3, 5, 10)) == Fraction(1, 3)
         assert k_squared(Quintuple(2, 3, 3, 5, 12)) == Fraction(1 * 1 * 12, 2 * 3 * 3 * 5)
-        with pytest.raises(ValueError):
-            k_squared(Quintuple(1, 2, 3, 5, 10), index=2)
 
     def test_max_group_order_vertices(self):
         # weights dividing the degree sit off the surface and do not count

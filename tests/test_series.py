@@ -41,8 +41,6 @@ class TestMakeSeries:
             make_series(1, Quintuple(1, 1, 2, 2, 5))     # not solid
         with pytest.raises(ValueError):
             make_series(3, Quintuple(1, 1, 3, 3, 6))     # class mismatch
-        with pytest.raises(ValueError):
-            make_series(2, Quintuple(1, 1, 2, 3, 4), modulus=3)
 
     def test_class6_defining_weights(self):
         # shape (I-k, I+k, a, a+k) with k = index - a0
