@@ -4,17 +4,16 @@ Every series class confines its representatives to one period window of the
 modulus, so finitely many candidates cover all series of a given index; each
 candidate is kept iff it is solid.  The window loops run on plain integers:
 in classes 1-3 a non-coprime (a0, a1, a2) skips its whole a3 range, and each
-candidate meets an integer pre-filter (cond_iv, coprime triples, pairwise
-gcds dividing d, d > a3) before a Quintuple is built.  The pre-filter only
-restates necessary conditions of ``is_solid``, which still decides on the
-~2% that are built.  Validity of everything emitted is re-checked as a
-defence against bugs in either condition path.
+candidate meets the integer forms of cond_iv and well-formedness from
+``conditions`` before a Quintuple is built; ``is_solid``, which adds the
+structure types, decides on the ~2% that are built.  Validity of everything
+emitted is re-checked as a defence against bugs in either condition path.
 """
 from __future__ import annotations
 
 from math import gcd
 
-from .conditions import is_solid, quasismooth_divisibility
+from .conditions import _cond_iv_ints, _well_formed_ints, is_solid, quasismooth_divisibility
 from .core import Classification, Quintuple, Series, ceil_div, lcm_list
 from .series import canonical_key, contains, expand, make_series
 from .tables import instantiate
@@ -22,15 +21,7 @@ from .tables import instantiate
 
 def _candidate(a0: int, a1: int, a2: int, a3: int, d: int) -> Quintuple | None:
     """The window candidate as a Quintuple if it is solid, else None."""
-    # integer pre-filter: cond_iv (a1 and a2 fail it most often), then
-    # non-degeneracy, which Quintuple requires, and well-formedness, exactly
-    # as is_solid phrases them
-    for ai in (a1, a2, a0, a3):
-        if (d - a0) % ai and (d - a1) % ai and (d - a2) % ai and (d - a3) % ai:
-            return None
-    if (d <= a3 or gcd(a0, a1, a2) != 1 or gcd(a0, a1, a3) != 1 or gcd(a0, a2, a3) != 1
-            or gcd(a1, a2, a3) != 1 or d % gcd(a0, a1) or d % gcd(a0, a2) or d % gcd(a0, a3)
-            or d % gcd(a1, a2) or d % gcd(a1, a3) or d % gcd(a2, a3)):
+    if not (_cond_iv_ints(a0, a1, a2, a3, d) and _well_formed_ints(a0, a1, a2, a3, d)):
         return None
     q = Quintuple(a0, a1, a2, a3, d)
     return q if is_solid(q) else None

@@ -200,8 +200,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     else:
         d = sum(weights) - args.index
     q = Quintuple(*weights, d)
-    if args.index is not None and q.index != args.index:
-        raise ValueError(f"index {args.index} inconsistent with degree {d} for weights {weights}")
 
     report = quasismooth_divisibility(q)
     agree = quasismooth_monomial(q) == report.accepted

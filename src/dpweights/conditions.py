@@ -41,14 +41,11 @@ TripleChecks = tuple[tuple[tuple[int, int, int], bool], ...]
 class ConditionReport:
     """Per-condition outcome for one quintuple, with per-pair detail."""
 
-    quintuple: Quintuple
     wf_pairs: PairChecks          # gcd(ai, aj) divides d
     wf_triples: TripleChecks      # gcd of any three weights is 1
     cond_iv: bool
     cond_v: PairChecks            # only pairs with gcd > 1
     cond_vi: PairChecks
-    types: frozenset[str]
-    series_class: int | None
     waived_pair: tuple[int, int] | None = None  # covered-edge family admission
 
     @property
@@ -56,39 +53,41 @@ class ConditionReport:
         return all(ok for _, ok in self.wf_pairs) and all(ok for _, ok in self.wf_triples)
 
     @property
-    def cond_v_ok(self) -> bool:
-        return all(ok for _, ok in self.cond_v)
-
-    @property
-    def cond_vi_ok(self) -> bool:
-        return all(ok for _, ok in self.cond_vi)
-
-    @property
     def accepted(self) -> bool:
         return (
             self.well_formed
             and self.cond_iv
-            and self.cond_v_ok
-            and self.cond_vi_ok
+            and all(ok for _, ok in self.cond_v)
+            and all(ok for _, ok in self.cond_vi)
         )
 
 
-def well_formed(q: Quintuple) -> bool:
-    """Pairwise gcds divide the degree and every weight triple is coprime."""
-    w = q.weights
-    for i, j, k in TRIPLES:
-        if gcd(w[i], w[j], w[k]) != 1:
-            return False
-    for i, j in PAIRS:
-        if q.d % gcd(w[i], w[j]):
+def _well_formed_ints(a0: int, a1: int, a2: int, a3: int, d: int) -> bool:
+    """Every weight triple coprime and every pairwise gcd dividing d."""
+    return not (
+        gcd(a0, a1, a2) != 1 or gcd(a0, a1, a3) != 1 or gcd(a0, a2, a3) != 1
+        or gcd(a1, a2, a3) != 1 or d % gcd(a0, a1) or d % gcd(a0, a2) or d % gcd(a0, a3)
+        or d % gcd(a1, a2) or d % gcd(a1, a3) or d % gcd(a2, a3)
+    )
+
+
+def _cond_iv_ints(a0: int, a1: int, a2: int, a3: int, d: int) -> bool:
+    """Every weight divides d - aj for some weight aj."""
+    # a1 and a2 fail most often among the classifier's window candidates
+    for ai in (a1, a2, a0, a3):
+        if (d - a0) % ai and (d - a1) % ai and (d - a2) % ai and (d - a3) % ai:
             return False
     return True
 
 
+def well_formed(q: Quintuple) -> bool:
+    """Pairwise gcds divide the degree and every weight triple is coprime."""
+    return _well_formed_ints(q.a0, q.a1, q.a2, q.a3, q.d)
+
+
 def cond_iv(q: Quintuple) -> bool:
     """Every weight divides d - aj for some weight aj."""
-    w = q.weights
-    return all(any((q.d - aj) % ai == 0 for aj in w) for ai in w)
+    return _cond_iv_ints(q.a0, q.a1, q.a2, q.a3, q.d)
 
 
 def covered_edge_pair(q: Quintuple) -> tuple[int, int] | None:
@@ -154,14 +153,11 @@ def quasismooth_divisibility(q: Quintuple) -> ConditionReport:
             ok = _reaches(ai, aj, d - w[k]) and _reaches(ai, aj, d - w[l])
         vi_detail.append(((i, j), ok))
     return ConditionReport(
-        quintuple=q,
         wf_pairs=wf_pairs,
         wf_triples=wf_triples,
         cond_iv=cond_iv(q),
         cond_v=tuple(v_detail),
         cond_vi=tuple(vi_detail),
-        types=detect_types(q),
-        series_class=detect_class(q),
         waived_pair=waived,
     )
 
@@ -197,10 +193,6 @@ def quasismooth_monomial(q: Quintuple) -> bool:
     for i, j in PAIRS:
         if (i, j) != waived and d % gcd(w[i], w[j]):
             return False
-    # degree strictly above every weight
-    if any(d == ai for ai in w):
-        return False
-
     # for every i a monomial x_i^m x_j (m >= 1, j = i allowed via m+1 power)
     for ai in w:
         if not any(d - aj >= ai and (d - aj) % ai == 0 for aj in w):

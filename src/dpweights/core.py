@@ -114,7 +114,8 @@ class Series:
 
     Every step is a 5-vector of non-negative increments on (a0,a1,a2,a3,d)
     per unit of its parameter.  The degree entry always equals the sum of the
-    weight entries, so all members share the base's index.
+    weight entries, so all members share the base's index.  Two steps are
+    linearly independent, so each member has exactly one parameter pair.
     """
 
     origin: SeriesClass
@@ -129,6 +130,10 @@ class Series:
                 raise ValueError(f"malformed step vector {step}")
             if sum(step[:4]) != step[4] or step[4] == 0:
                 raise ValueError(f"degree entry of {step} must equal the sum of its weight entries")
+        if len(self.steps) == 2:
+            s, t = self.steps
+            if all(s[i] * t[j] == s[j] * t[i] for i in range(5) for j in range(i + 1, 5)):
+                raise ValueError(f"series steps {s} and {t} are linearly dependent")
         m = self.modulus
         if self.origin.class_number is not None:
             # class-origin steps move series-defining weights by exactly the modulus

@@ -90,31 +90,24 @@ def expand(series: Series, bound: int) -> list[Quintuple]:
 
 def contains(series: Series, q: Quintuple) -> bool:
     """Whether q is a member of the series at some non-negative parameters."""
-    base = series.base.astuple()
-    target = q.astuple()
-    diff = tuple(t - b for t, b in zip(target, base))
+    diff = tuple(t - b for t, b in zip(q.astuple(), series.base.astuple()))
     if any(x < 0 for x in diff):
         return False
-
-    def solve_single(rem: tuple[int, ...], step: StepVector) -> bool:
-        pivot = next(i for i in range(5) if step[i] > 0)
-        if rem[pivot] % step[pivot]:
-            return False
-        y = rem[pivot] // step[pivot]
-        return all(rem[i] == y * step[i] for i in range(5))
-
+    # the floor divisions are exact when a solution exists; comparing all
+    # five coordinates rejects every other case
     s1 = series.steps[0]
     if len(series.steps) == 1:
-        return solve_single(diff, s1)
+        pivot = next(i for i in range(5) if s1[i] > 0)
+        x = diff[pivot] // s1[pivot]
+        return all(diff[i] == x * s1[i] for i in range(5))
+    # independent steps (Series enforces it) have a non-zero 2x2 minor, and
+    # Cramer's rule on it gives the only candidate parameters (x, y)
     s2 = series.steps[1]
-    pivot = next(i for i in range(5) if s1[i] > 0)
-    for x in range(diff[pivot] // s1[pivot] + 1):
-        rem = tuple(diff[i] - x * s1[i] for i in range(5))
-        if any(v < 0 for v in rem):
-            break
-        if solve_single(rem, s2):
-            return True
-    return False
+    i, j = next((i, j) for i in range(5) for j in range(i + 1, 5) if s1[i] * s2[j] != s1[j] * s2[i])
+    det = s1[i] * s2[j] - s1[j] * s2[i]
+    x = (diff[i] * s2[j] - diff[j] * s2[i]) // det
+    y = (s1[i] * diff[j] - s1[j] * diff[i]) // det
+    return x >= 0 and y >= 0 and all(diff[k] == x * s1[k] + y * s2[k] for k in range(5))
 
 
 def _try_sub(vals: tuple[int, ...], step: StepVector) -> tuple[int, ...] | None:

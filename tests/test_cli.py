@@ -134,6 +134,14 @@ class TestCheck:
         assert code == 1
         assert "forms-agree=true" in out
 
+    def test_huge_weights_bounded_time(self, capsys):
+        # table-covered tests membership in the two-step series at a2 ~ 10^9
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "check", "1", "4", "999999999", "1000000000", "--index", "5")
+        assert time.perf_counter() - start < 2.0
+        assert code == 1
+        assert "forms-agree=true table-covered=false" in out
+
     def test_output_matches_golden_digest(self):
         digest = hashlib.sha256()
         for *weights, index in check_inputs():
@@ -160,6 +168,12 @@ class TestExpand:
     def test_malformed_payload(self, capsys):
         code, _, err = run(capsys, "expand", "--series", '{"base": [1,2,3]}', "--bound", "5")
         assert code == 2
+        assert err.startswith("ERROR:")
+
+    def test_dependent_steps(self, capsys):
+        series = '{"base": [1, 1, 2, 3, 4], "steps": [[0, 0, 0, 2, 2], [0, 0, 0, 4, 4]], "class": "tableSeries"}'
+        code, out, err = run(capsys, "expand", "--series", series, "--bound", "11")
+        assert code == 2 and out == ""
         assert err.startswith("ERROR:")
 
     @pytest.mark.parametrize(

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpweights.conditions import (
+    PAIRS,
+    TRIPLES,
     _reaches,
     cond_iv,
     covered_edge_pair,
@@ -26,6 +28,24 @@ from dpweights.core import Quintuple
 def reaches_by_search(ai: int, aj: int, r: int) -> bool:
     """The definitional pair test: some b in [0, r // aj] with ai | r - aj*b."""
     return any((r - aj * b) % ai == 0 for b in range(r // aj + 1))
+
+
+def well_formed_by_definition(q: Quintuple) -> bool:
+    """Well-formedness as loops over the weight triples and pairs."""
+    w = q.weights
+    for i, j, k in TRIPLES:
+        if gcd(w[i], w[j], w[k]) != 1:
+            return False
+    for i, j in PAIRS:
+        if q.d % gcd(w[i], w[j]):
+            return False
+    return True
+
+
+def cond_iv_by_definition(q: Quintuple) -> bool:
+    """Condition (iv) as a loop: every weight divides d - aj for some aj."""
+    w = q.weights
+    return all(any((q.d - aj) % ai == 0 for aj in w) for ai in w)
 
 
 def quintuples_up_to(bound: int, max_index: int):
@@ -131,6 +151,11 @@ class TestPieces:
             for aj in range(1, 41):
                 for r in range(1, 401):
                     assert _reaches(ai, aj, r) == reaches_by_search(ai, aj, r), (ai, aj, r)
+
+    def test_int_predicates_match_definition(self):
+        for q in quintuples_up_to(20, 8):
+            assert well_formed(q) == well_formed_by_definition(q), q
+            assert cond_iv(q) == cond_iv_by_definition(q), q
 
     def test_well_formed(self):
         assert well_formed(Quintuple(1, 2, 3, 5, 10))

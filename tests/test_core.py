@@ -98,6 +98,8 @@ class TestSeries:
             self.make(((0, 0, 1, 0, 2),))  # degree entry is not the weight sum
         with pytest.raises(ValueError):
             self.make(((0, 0, 0, 0, 0),))  # a step must move something
+        with pytest.raises(ValueError):
+            self.make(((0, 0, 0, 2, 2), (0, 0, 0, 4, 4)))  # linearly dependent steps
 
     def test_class_origin_steps_move_by_modulus(self):
         # mixed 2/4 increments are fine for table-origin series

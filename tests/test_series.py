@@ -5,10 +5,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpweights.classify import classify_index
+from dpweights.classify import classify_index, expand_classification
 from dpweights.conditions import quasismooth_divisibility
-from dpweights.core import Quintuple, SeriesClass
+from dpweights.core import Quintuple, Series, SeriesClass
 from dpweights.series import canonical_key, contains, defining_weights, expand, make_series
+
+
+def contains_by_search(series, q) -> bool:
+    """Membership by a loop over the first step's parameter."""
+    base = series.base.astuple()
+    diff = tuple(t - b for t, b in zip(q.astuple(), base))
+    if any(x < 0 for x in diff):
+        return False
+
+    def solve_single(rem, step) -> bool:
+        pivot = next(i for i in range(5) if step[i] > 0)
+        if rem[pivot] % step[pivot]:
+            return False
+        y = rem[pivot] // step[pivot]
+        return all(rem[i] == y * step[i] for i in range(5))
+
+    s1 = series.steps[0]
+    if len(series.steps) == 1:
+        return solve_single(diff, s1)
+    pivot = next(i for i in range(5) if s1[i] > 0)
+    for x in range(diff[pivot] // s1[pivot] + 1):
+        rem = tuple(diff[i] - x * s1[i] for i in range(5))
+        if any(v < 0 for v in rem):
+            break
+        if solve_single(rem, series.steps[1]):
+            return True
+    return False
 
 
 class TestMakeSeries:
@@ -61,6 +88,32 @@ class TestExpandContains:
             for q in expand(s, 70):
                 assert q.a3 <= 70
                 assert q.index == 5
+
+    def test_contains_matches_search(self):
+        outcomes = set()
+        for index in range(1, 9):
+            c = classify_index(index)
+            members = expand_classification(c, 60)
+            for s in c.all_series:
+                for q in members:
+                    got = contains(s, q)
+                    assert got == contains_by_search(s, q), (s, q)
+                    outcomes.add((len(s.steps), got))
+        assert outcomes == {(1, True), (1, False), (2, True), (2, False)}
+
+    @pytest.mark.parametrize("steps", [
+        ((0, 0, 1, 1, 2), (0, 0, 0, 1, 1)),
+        ((0, 0, 0, 1, 1), (0, 0, 1, 1, 2)),
+        ((0, 0, 2, 0, 2), (0, 0, 1, 3, 4)),
+    ])
+    def test_contains_needs_both_parameters_non_negative(self, steps):
+        # such table-origin steps reach ordered quintuples at a negative
+        # parameter, e.g. (1,2,4,5,9) = base + 1*s1 - 1*s2 for the first pair
+        s = Series(SeriesClass.TABLE_SERIES, Quintuple(1, 2, 3, 5, 8), steps)
+        for a2 in range(3, 16):
+            for a3 in range(max(a2, 5), 16):
+                q = Quintuple(1, 2, a2, a3, a2 + a3)
+                assert contains(s, q) == contains_by_search(s, q), q
 
     def test_non_members_rejected(self):
         s = make_series(2, Quintuple(1, 1, 2, 3, 4))
