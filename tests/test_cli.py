@@ -12,6 +12,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from dpweights.cli import main
+from dpweights.core import Quintuple
 from dpweights.oracle import brute_force
 
 # sha256 over exit code and stdout of `check` on check_inputs(), recorded
@@ -197,6 +198,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--index", "3", "--bound", "40")
         assert code == 0
         assert out.splitlines()[0] == "OK"
+
+    def test_mismatch(self, capsys, monkeypatch):
+        hits = brute_force(3, 40)
+        dropped, stray = hits[7], Quintuple(1, 1, 2, 2, 3)  # not well-formed
+        oracle = [q for q in hits if q != dropped] + [stray]
+        monkeypatch.setattr("dpweights.cli.brute_force", lambda index, bound: oracle)
+        code, out, _ = run(capsys, "verify", "--index", "3", "--bound", "40")
+        assert code == 1
+        assert out.splitlines() == ["MISMATCH", f"oracle-only: {stray}", f"classifier-only: {dropped}"]
 
 
 class TestObstructions:
