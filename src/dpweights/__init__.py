@@ -29,7 +29,7 @@ from .core import (
     lcm_list,
 )
 from .obstructions import ObstructionReport, k_squared, max_group_order, obstruction_report
-from .oracle import CoverageDiagnosis, brute_force, type_coverage
+from .oracle import brute_force
 from .series import canonical_key, contains, expand, make_series
 from .tables import SERIES_ROWS, SPORADIC_ROWS, SporadicRow, instantiate
 
@@ -38,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Classification",
     "ConditionReport",
-    "CoverageDiagnosis",
     "ObstructionReport",
     "Quintuple",
     "Series",
@@ -70,6 +69,5 @@ __all__ = [
     "obstruction_report",
     "quasismooth_divisibility",
     "quasismooth_monomial",
-    "type_coverage",
     "well_formed",
 ]

@@ -2,12 +2,30 @@
 
 Every series class confines its representatives to one period window of the
 modulus, so finitely many candidates cover all series of a given index; each
-candidate is kept iff it is solid.  The window loops run on plain integers:
-in classes 1-3 a non-coprime (a0, a1, a2) skips its whole a3 range, and each
-candidate meets the integer forms of cond_iv and well-formedness from
-``conditions`` before a Quintuple is built; ``is_solid``, which adds the
-structure types, decides on the ~2% that are built.  Validity of everything
-emitted is re-checked as a defence against bugs in either condition path.
+candidate is kept iff it is solid.
+
+Condition (iv), that every weight a_i divides d - a_j for some j, narrows the
+windows before any candidate is tested:
+
+* In classes 1-3 the degree is d = s + a3 with s = a2, a1, a0 respectively.
+  Then a3 divides d - s and s divides d - a3, and any other weight a_i is
+  covered iff it divides s or a3 = a_j - s (mod a_i) for some j in 0..2: at
+  most three residues per weight.  The walk strides through the residue
+  classes of the largest weight not dividing s and filters by the other; when
+  every weight divides s, a3 is free and the stride is 1.
+* In class 6, (a0, a1, a3) = (I - k, I + k, a2 + k) and d = a1 + 2*a2, so
+  d - a_j is 2(a2 + k), 2*a2, a1 + a2 or I + a2.  a2 and a3 divide one of
+  them, and w in (a0, a1) divides one iff a2 mod w is -k, h - k, 0, h, -a1
+  or -I, with h = w / gcd(w, 2).
+* Classes 4 and 5 have short windows and scan them in full.
+
+Each walk yields its values in ascending order, as the full scan did; since
+``dedup`` keeps the last series per key, that order is part of the output.
+The walked candidates meet the integer forms of cond_iv and well-formedness
+from ``conditions`` before a Quintuple is built, and ``is_solid``, which adds
+the structure types, decides on the survivors; in classes 1-3 a non-coprime
+(a0, a1, a2) skips its whole a3 range.  Validity of everything emitted is
+re-checked as a defence against bugs in either condition path.
 """
 from __future__ import annotations
 
@@ -27,6 +45,40 @@ def _candidate(a0: int, a1: int, a2: int, a3: int, d: int) -> Quintuple | None:
     return q if is_solid(q) else None
 
 
+def _walk(lo: int, hi: int, *constraints: tuple[int, tuple[int, ...]]) -> list[int]:
+    """The x in [lo, hi) with x mod w in rs for every (w, rs), ascending.
+
+    The first constraint's modulus is the stride (1 when there is none); the
+    others filter what it walks.
+    """
+    stride, rs = constraints[0] if constraints else (1, (0,))
+    xs = sorted(x for r in {r % stride for r in rs} for x in range(lo + (r - lo) % stride, hi, stride))
+    for w, rs in constraints[1:]:
+        ok = {r % w for r in rs}
+        xs = [x for x in xs if x % w in ok]
+    return xs
+
+
+def _type1_a3(a0: int, a1: int, a2: int, s: int, m: int) -> list[int]:
+    """The a3 in [a2, a2 + m) that can pass (iv) when d = s + a3, s in (a0, a1, a2)."""
+    # ai | d - aj iff a3 = aj - s (mod ai); ai | s = d - a3 leaves a3 free
+    shifts = (a0 - s, a1 - s, a2 - s)
+    return _walk(a2, a2 + m, *((ai, shifts) for ai in (a2, a1, a0) if s % ai))
+
+
+def _class6_a2(index: int, k: int) -> list[int]:
+    """The a2 of the class 6 window at (index, k) that can pass (iv), ascending."""
+    a0, a1 = index - k, index + k
+    # d - aj is 2(a2 + k), 2a2, a1 + a2 or index + a2: a2 divides 2a2 and a3
+    # divides 2(a2 + k), so a0 and a1 decide; w | 2x iff x = 0 (mod h)
+
+    def iv(w: int) -> tuple[int, tuple[int, ...]]:
+        h = w // gcd(w, 2)
+        return w, (-k, h - k, 0, h, -a1, -index)
+
+    return _walk(a1, a1 + lcm_list((a0, a1, k)), iv(a1), iv(a0))
+
+
 def enumerate_class(class_number: int, index: int) -> list[Series]:
     """All series of one class at one index, via solid window representatives."""
     if index < 1:
@@ -44,7 +96,7 @@ def enumerate_class(class_number: int, index: int) -> list[Series]:
             for a2 in range(a1, a1 + m):
                 if gcd(a0, a1, a2) != 1:
                     continue
-                for a3 in range(a2, a2 + m):
+                for a3 in _type1_a3(a0, a1, a2, a2, m):
                     emit(_candidate(a0, a1, a2, a3, a2 + a3), 1)
     elif class_number == 2:
         for a0 in range(1, index // 2 + 1):
@@ -52,8 +104,7 @@ def enumerate_class(class_number: int, index: int) -> list[Series]:
             for a1 in range(a0, index - a0):
                 if gcd(a0, a1, a2) != 1:
                     continue
-                m = lcm_list((a0, a1, a2))
-                for a3 in range(a2, a2 + m):
+                for a3 in _type1_a3(a0, a1, a2, a1, lcm_list((a0, a1, a2))):
                     emit(_candidate(a0, a1, a2, a3, a1 + a3), 2)
     elif class_number == 3:
         for a1 in range(2, index // 2 + 1):
@@ -61,8 +112,7 @@ def enumerate_class(class_number: int, index: int) -> list[Series]:
             for a0 in range(1, a1):
                 if gcd(a0, a1, a2) != 1:
                     continue
-                m = lcm_list((a0, a1, a2))
-                for a3 in range(a2, a2 + m):
+                for a3 in _type1_a3(a0, a1, a2, a0, lcm_list((a0, a1, a2))):
                     emit(_candidate(a0, a1, a2, a3, a0 + a3), 3)
     elif class_number == 4:
         for k in range(max(ceil_div(index, 3), 1), index):
@@ -79,8 +129,7 @@ def enumerate_class(class_number: int, index: int) -> list[Series]:
     elif class_number == 6:
         for k in range(1, index):
             a0, a1 = index - k, index + k
-            m = lcm_list((a0, a1, k))
-            for a2 in range(a1, a1 + m):
+            for a2 in _class6_a2(index, k):
                 emit(_candidate(a0, a1, a2, a2 + k, a1 + 2 * a2), 6)
     else:
         raise ValueError(f"series class number must be 1..6, got {class_number}")

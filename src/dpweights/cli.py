@@ -110,8 +110,44 @@ def classification_payload(c: Classification) -> dict:
     }
 
 
+def _json_block(items: list[str], pad: str, brackets: str) -> str:
+    """A JSON array or object laid out as ``json.dumps(indent=2)`` does.
+
+    ``items`` are the rendered entries, ``pad`` the indent of the line that
+    opens the block; nested entries arrive already indented for their depth.
+    """
+    if not items:
+        return brackets
+    inner = pad + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+
+
+def _json_ints(values: tuple[int, ...], pad: str) -> str:
+    return _json_block([str(v) for v in values], pad, "[]")
+
+
+def _json_series(s: Series) -> str:
+    """One series as it sits in a top-level list, at depth two."""
+    pad = " " * 6
+    return _json_block([
+        '"base": ' + _json_ints(s.base.astuple(), pad),
+        '"steps": ' + _json_block([_json_ints(step, pad + "  ") for step in s.steps], pad, "[]"),
+        '"class": ' + json.dumps(s.origin.value),
+    ], " " * 4, "{}")
+
+
 def _emit_json(c: Classification) -> str:
-    return json.dumps(classification_payload(c), indent=2) + "\n"
+    """``json.dumps(classification_payload(c), indent=2)`` plus a newline.
+
+    The payload's shape is fixed, so the text is joined directly instead of
+    going through the pure-Python encoder that ``indent`` selects.
+    """
+    return _json_block([
+        f'"index": {c.index}',
+        '"two_parameter_series": ' + _json_block([_json_series(s) for s in c.two_param], "  ", "[]"),
+        '"one_parameter_series": ' + _json_block([_json_series(s) for s in c.one_param], "  ", "[]"),
+        '"sporadic": ' + _json_block([_json_ints(q.astuple(), " " * 4) for q in c.sporadic], "  ", "[]"),
+    ], "", "{}") + "\n"
 
 
 def _emit_csv(c: Classification) -> str:

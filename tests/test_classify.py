@@ -3,14 +3,24 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import combinations_with_replacement
+from math import gcd
 from pathlib import Path
 
 import pytest
 from golden_tables import expand_golden
 
-from dpweights.classify import _outside_series, classify_index, enumerate_class, expand_classification
+from dpweights.classify import (
+    _candidate,
+    _class6_a2,
+    _outside_series,
+    _type1_a3,
+    classify_index,
+    enumerate_class,
+    expand_classification,
+)
 from dpweights.cli import main
-from dpweights.conditions import is_solid, quasismooth_divisibility
+from dpweights.conditions import _cond_iv_ints, is_solid, quasismooth_divisibility
 from dpweights.core import Quintuple, Series, SeriesClass, ceil_div, lcm_list
 from dpweights.series import canonical_key, contains, expand, make_series
 from dpweights.tables import instantiate
@@ -145,6 +155,55 @@ def reference_enumeration(class_number: int, index: int) -> list[Series]:
     return found
 
 
+def window_enumeration(class_number: int, index: int) -> list[Series]:
+    """Every a3 (a2 in class 6) of each period window through the pre-filtered
+    candidate test, in window order: the scan the residue walk replaces."""
+    found: list[Series] = []
+
+    def emit(q: Quintuple | None) -> None:
+        if q is not None:
+            found.append(make_series(class_number, q))
+
+    if class_number == 1:
+        for a0 in range(1, index // 2 + 1):
+            a1 = index - a0
+            m = lcm_list((a0, a1))
+            for a2 in range(a1, a1 + m):
+                if gcd(a0, a1, a2) == 1:
+                    for a3 in range(a2, a2 + m):
+                        emit(_candidate(a0, a1, a2, a3, a2 + a3))
+    elif class_number == 2:
+        for a0 in range(1, index // 2 + 1):
+            a2 = index - a0
+            for a1 in range(a0, index - a0):
+                if gcd(a0, a1, a2) == 1:
+                    for a3 in range(a2, a2 + lcm_list((a0, a1, a2))):
+                        emit(_candidate(a0, a1, a2, a3, a1 + a3))
+    elif class_number == 3:
+        for a1 in range(2, index // 2 + 1):
+            a2 = index - a1
+            for a0 in range(1, a1):
+                if gcd(a0, a1, a2) == 1:
+                    for a3 in range(a2, a2 + lcm_list((a0, a1, a2))):
+                        emit(_candidate(a0, a1, a2, a3, a0 + a3))
+    elif class_number == 4:
+        for k in range(max(ceil_div(index, 3), 1), index):
+            a0, a1 = index - k, 2 * k
+            for a2 in range(a1, a1 + lcm_list((a0, a1))):
+                emit(_candidate(a0, a1, a2, a2 + k, 2 * (a2 + k)))
+    elif class_number == 5:
+        for k in range(1, ceil_div(index, 3)):
+            a0, a1 = 2 * k, index - k
+            for a2 in range(a1, a1 + lcm_list((a0, a1))):
+                emit(_candidate(a0, a1, a2, a2 + k, 2 * (a2 + k)))
+    else:
+        for k in range(1, index):
+            a0, a1 = index - k, index + k
+            for a2 in range(a1, a1 + lcm_list((a0, a1, k))):
+                emit(_candidate(a0, a1, a2, a2 + k, a1 + 2 * a2))
+    return found
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize("index", range(1, 31))
     def test_json_matches_golden_digest(self, capsys, index):
@@ -156,6 +215,29 @@ class TestAgainstReference:
     def test_enumeration_matches_definition(self, class_number):
         for index in range(1, 15):
             assert enumerate_class(class_number, index) == reference_enumeration(class_number, index), index
+
+    def test_residue_walk_is_exactly_cond_iv(self):
+        # each walk yields, in order, precisely the window values that pass (iv)
+        for a0, a1, a2 in combinations_with_replacement(range(1, 13), 3):
+            m = lcm_list((a0, a1, a2))
+            for s in {a0, a1, a2}:
+                assert _type1_a3(a0, a1, a2, s, m) == [
+                    a3 for a3 in range(a2, a2 + m) if _cond_iv_ints(a0, a1, a2, a3, s + a3)
+                ], (a0, a1, a2, s)
+        for index in range(2, 25):
+            for k in range(1, index):
+                a0, a1 = index - k, index + k
+                assert _class6_a2(index, k) == [
+                    a2 for a2 in range(a1, a1 + lcm_list((a0, a1, k)))
+                    if _cond_iv_ints(a0, a1, a2, a2 + k, a1 + 2 * a2)
+                ], (index, k)
+
+    @pytest.mark.parametrize("class_number", range(1, 7))
+    def test_residue_walk_matches_window_scan(self, class_number):
+        # list equality: the same series in the same order, since dedup keeps
+        # the last series per key
+        for index in [*range(15, 25), 30, 40]:
+            assert enumerate_class(class_number, index) == window_enumeration(class_number, index), index
 
     def test_keyed_sporadic_filter_matches_full_scan(self):
         for index in range(1, 13):

@@ -11,8 +11,9 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from dpweights.cli import main
-from dpweights.core import Quintuple
+from dpweights.classify import classify_index
+from dpweights.cli import classification_payload, main, render
+from dpweights.core import Classification, Quintuple
 from dpweights.oracle import brute_force
 
 # sha256 over exit code and stdout of `check` on check_inputs(), recorded
@@ -74,6 +75,14 @@ class TestClassify:
         assert json.dumps(payload, indent=2) + "\n" == out
         assert all(set(s) == {"base", "steps", "class"} for s in payload["two_parameter_series"])
         assert [1, 10, 13, 19, 39] in payload["sporadic"]
+
+    def test_json_writer_matches_json_dumps(self):
+        # the writer joins the indent-2 text itself; json.dumps is its definition
+        cs = [classify_index(index) for index in range(1, 41)]
+        two_param = cs[1].two_param
+        cs += [Classification(3, (), (), ()), Classification(2, two_param, (), ())]
+        for c in cs:
+            assert render(c, "json") == json.dumps(classification_payload(c), indent=2) + "\n", c.index
 
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "classify", "--index", "3", "--format", "csv")

@@ -2,14 +2,17 @@
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from math import gcd
 
 import pytest
 
 from dpweights.classify import classify_index, expand_classification
-from dpweights.conditions import quasismooth_monomial
+from dpweights.conditions import detect_class, detect_types, quasismooth_monomial
 from dpweights.core import Quintuple
-from dpweights.oracle import CoverageDiagnosis, brute_force, type_coverage
+from dpweights.oracle import brute_force
+from dpweights.series import contains
+from dpweights.tables import instantiate
 
 # member counts at bound 100, recorded with the brute force that ran the
 # monomial form on every a3-divisor candidate
@@ -34,6 +37,35 @@ def brute_force_by_definition(index: int, bound: int) -> list[Quintuple]:
                         if quasismooth_monomial(q):
                             hits.append(q)
     return hits
+
+
+@dataclass(frozen=True)
+class CoverageDiagnosis:
+    """How one brute-force hit is explained by the structured classification."""
+
+    types: frozenset[str]
+    series_class: int | None
+    table_covered: bool
+
+    @property
+    def covered(self) -> bool:
+        return bool(self.types) or self.series_class is not None or self.table_covered
+
+
+def type_coverage(index: int, bound: int) -> list[tuple[Quintuple, CoverageDiagnosis]]:
+    """Diagnose every brute-force hit: type, series class, table coverage.
+
+    A quintuple flagged uncovered (no type, no class, not in the tables)
+    would mark a gap in the classification data.  It lives here, not in the
+    oracle, so that the oracle module imports neither tables nor series.
+    """
+    table_series, table_sporadic = instantiate(index)
+    sporadic_set = set(table_sporadic)
+    out = []
+    for q in brute_force(index, bound):
+        covered = q in sporadic_set or any(contains(s, q) for s in table_series)
+        out.append((q, CoverageDiagnosis(detect_types(q), detect_class(q), covered)))
+    return out
 
 
 class TestBruteForce:
