@@ -29,10 +29,10 @@ re-checked as a defence against bugs in either condition path.
 """
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .conditions import _cond_iv_ints, _well_formed_ints, is_solid, quasismooth_divisibility
-from .core import Classification, Quintuple, Series, ceil_div, lcm_list
+from .core import Classification, Quintuple, Series, ceil_div
 from .series import canonical_key, contains, expand, make_series
 from .tables import instantiate
 
@@ -76,7 +76,7 @@ def _class6_a2(index: int, k: int) -> list[int]:
         h = w // gcd(w, 2)
         return w, (-k, h - k, 0, h, -a1, -index)
 
-    return _walk(a1, a1 + lcm_list((a0, a1, k)), iv(a1), iv(a0))
+    return _walk(a1, a1 + lcm(a0, a1, k), iv(a1), iv(a0))
 
 
 def enumerate_class(class_number: int, index: int) -> list[Series]:
@@ -92,7 +92,7 @@ def enumerate_class(class_number: int, index: int) -> list[Series]:
     if class_number == 1:
         for a0 in range(1, index // 2 + 1):
             a1 = index - a0
-            m = lcm_list((a0, a1))
+            m = lcm(a0, a1)
             for a2 in range(a1, a1 + m):
                 if gcd(a0, a1, a2) != 1:
                     continue
@@ -104,7 +104,7 @@ def enumerate_class(class_number: int, index: int) -> list[Series]:
             for a1 in range(a0, index - a0):
                 if gcd(a0, a1, a2) != 1:
                     continue
-                for a3 in _type1_a3(a0, a1, a2, a1, lcm_list((a0, a1, a2))):
+                for a3 in _type1_a3(a0, a1, a2, a1, lcm(a0, a1, a2)):
                     emit(_candidate(a0, a1, a2, a3, a1 + a3), 2)
     elif class_number == 3:
         for a1 in range(2, index // 2 + 1):
@@ -112,18 +112,18 @@ def enumerate_class(class_number: int, index: int) -> list[Series]:
             for a0 in range(1, a1):
                 if gcd(a0, a1, a2) != 1:
                     continue
-                for a3 in _type1_a3(a0, a1, a2, a0, lcm_list((a0, a1, a2))):
+                for a3 in _type1_a3(a0, a1, a2, a0, lcm(a0, a1, a2)):
                     emit(_candidate(a0, a1, a2, a3, a0 + a3), 3)
     elif class_number == 4:
         for k in range(max(ceil_div(index, 3), 1), index):
             a0, a1 = index - k, 2 * k
-            m = lcm_list((a0, a1))
+            m = lcm(a0, a1)
             for a2 in range(a1, a1 + m):
                 emit(_candidate(a0, a1, a2, a2 + k, 2 * (a2 + k)), 4)
     elif class_number == 5:
         for k in range(1, ceil_div(index, 3)):
             a0, a1 = 2 * k, index - k
-            m = lcm_list((a0, a1))
+            m = lcm(a0, a1)
             for a2 in range(a1, a1 + m):
                 emit(_candidate(a0, a1, a2, a2 + k, 2 * (a2 + k)), 5)
     elif class_number == 6:

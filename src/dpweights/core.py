@@ -4,25 +4,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
-
-
-def gcd_list(values: Iterable[int]) -> int:
-    """Greatest common divisor of a non-empty collection of integers."""
-    vals = tuple(values)
-    if not vals:
-        raise ValueError("gcd_list: empty input")
-    return math.gcd(*vals)
-
-
-def lcm_list(values: Iterable[int]) -> int:
-    """Least common multiple of a non-empty collection of positive integers."""
-    vals = tuple(values)
-    if not vals:
-        raise ValueError("lcm_list: empty input")
-    if any(v < 1 for v in vals):
-        raise ValueError(f"lcm_list: entries must be positive, got {vals}")
-    return math.lcm(*vals)
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -77,10 +58,10 @@ class Quintuple:
 
 
 class SeriesClass(Enum):
-    """Origin tag for a series or a sporadic quintuple.
+    """Origin tag for a series.
 
-    class1..class6 are the six series classes of the classification; tableSeries
-    and sporadic mark data that comes from the embedded tables.
+    class1..class6 are the six series classes of the classification;
+    tableSeries marks a series that comes from the embedded tables.
     """
 
     CLASS1 = "class1"
@@ -90,7 +71,6 @@ class SeriesClass(Enum):
     CLASS5 = "class5"
     CLASS6 = "class6"
     TABLE_SERIES = "tableSeries"
-    SPORADIC = "sporadic"
 
     @classmethod
     def from_class_number(cls, n: int) -> "SeriesClass":
@@ -100,7 +80,7 @@ class SeriesClass(Enum):
 
     @property
     def class_number(self) -> int | None:
-        """The 1..6 class number, or None for table-origin tags."""
+        """The 1..6 class number, or None for the table-origin tag."""
         v = self.value
         return int(v[5]) if v.startswith("class") else None
 

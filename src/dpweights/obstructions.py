@@ -25,10 +25,6 @@ class ObstructionReport:
     gmsy: bool
     spotti: bool
 
-    @property
-    def any_obstruction(self) -> bool:
-        return self.gmsy or self.spotti
-
 
 def k_squared(q: Quintuple) -> Fraction:
     """Exact rational self-intersection I^2 d / (a0 a1 a2 a3)."""

@@ -5,8 +5,10 @@ the step shape and the modulus (lcm of the series-defining weights).
 """
 from __future__ import annotations
 
+from math import lcm
+
 from .conditions import detect_class, is_solid
-from .core import Quintuple, Series, SeriesClass, StepVector, lcm_list
+from .core import Quintuple, Series, SeriesClass, StepVector
 
 # step templates per class, in units of the modulus m
 _STEP_SHAPES: dict[int, tuple[StepVector, ...]] = {
@@ -40,7 +42,7 @@ def make_series(class_number: int, rep: Quintuple) -> Series:
         raise ValueError(f"series representative {rep} is not solid")
     if detect_class(rep) != class_number:
         raise ValueError(f"{rep} does not lie in series class {class_number}")
-    m = lcm_list(defining_weights(class_number, rep))
+    m = lcm(*defining_weights(class_number, rep))
     steps = tuple(
         tuple(m * e for e in shape)  # type: ignore[misc]
         for shape in _STEP_SHAPES[class_number]

@@ -4,7 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 from itertools import combinations_with_replacement
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -21,7 +21,7 @@ from dpweights.classify import (
 )
 from dpweights.cli import main
 from dpweights.conditions import _cond_iv_ints, is_solid, quasismooth_divisibility
-from dpweights.core import Quintuple, Series, SeriesClass, ceil_div, lcm_list
+from dpweights.core import Quintuple, Series, SeriesClass, ceil_div
 from dpweights.series import canonical_key, contains, expand, make_series
 from dpweights.tables import instantiate
 
@@ -119,7 +119,7 @@ def reference_enumeration(class_number: int, index: int) -> list[Series]:
     if class_number == 1:
         for a0 in range(1, index // 2 + 1):
             a1 = index - a0
-            m = lcm_list((a0, a1))
+            m = lcm(a0, a1)
             for a2 in range(a1, a1 + m):
                 for a3 in range(a2, a2 + m):
                     emit(a0, a1, a2, a3, a2 + a3)
@@ -127,30 +127,30 @@ def reference_enumeration(class_number: int, index: int) -> list[Series]:
         for a0 in range(1, index // 2 + 1):
             a2 = index - a0
             for a1 in range(a0, index - a0):
-                m = lcm_list((a0, a1, a2))
+                m = lcm(a0, a1, a2)
                 for a3 in range(a2, a2 + m):
                     emit(a0, a1, a2, a3, a1 + a3)
     elif class_number == 3:
         for a1 in range(2, index // 2 + 1):
             a2 = index - a1
             for a0 in range(1, a1):
-                m = lcm_list((a0, a1, a2))
+                m = lcm(a0, a1, a2)
                 for a3 in range(a2, a2 + m):
                     emit(a0, a1, a2, a3, a0 + a3)
     elif class_number == 4:
         for k in range(max(ceil_div(index, 3), 1), index):
             a0, a1 = index - k, 2 * k
-            for a2 in range(a1, a1 + lcm_list((a0, a1))):
+            for a2 in range(a1, a1 + lcm(a0, a1)):
                 emit(a0, a1, a2, a2 + k, 2 * (a2 + k))
     elif class_number == 5:
         for k in range(1, ceil_div(index, 3)):
             a0, a1 = 2 * k, index - k
-            for a2 in range(a1, a1 + lcm_list((a0, a1))):
+            for a2 in range(a1, a1 + lcm(a0, a1)):
                 emit(a0, a1, a2, a2 + k, 2 * (a2 + k))
     else:
         for k in range(1, index):
             a0, a1 = index - k, index + k
-            for a2 in range(a1, a1 + lcm_list((a0, a1, k))):
+            for a2 in range(a1, a1 + lcm(a0, a1, k)):
                 emit(a0, a1, a2, a2 + k, a1 + 2 * a2)
     return found
 
@@ -167,7 +167,7 @@ def window_enumeration(class_number: int, index: int) -> list[Series]:
     if class_number == 1:
         for a0 in range(1, index // 2 + 1):
             a1 = index - a0
-            m = lcm_list((a0, a1))
+            m = lcm(a0, a1)
             for a2 in range(a1, a1 + m):
                 if gcd(a0, a1, a2) == 1:
                     for a3 in range(a2, a2 + m):
@@ -177,29 +177,29 @@ def window_enumeration(class_number: int, index: int) -> list[Series]:
             a2 = index - a0
             for a1 in range(a0, index - a0):
                 if gcd(a0, a1, a2) == 1:
-                    for a3 in range(a2, a2 + lcm_list((a0, a1, a2))):
+                    for a3 in range(a2, a2 + lcm(a0, a1, a2)):
                         emit(_candidate(a0, a1, a2, a3, a1 + a3))
     elif class_number == 3:
         for a1 in range(2, index // 2 + 1):
             a2 = index - a1
             for a0 in range(1, a1):
                 if gcd(a0, a1, a2) == 1:
-                    for a3 in range(a2, a2 + lcm_list((a0, a1, a2))):
+                    for a3 in range(a2, a2 + lcm(a0, a1, a2)):
                         emit(_candidate(a0, a1, a2, a3, a0 + a3))
     elif class_number == 4:
         for k in range(max(ceil_div(index, 3), 1), index):
             a0, a1 = index - k, 2 * k
-            for a2 in range(a1, a1 + lcm_list((a0, a1))):
+            for a2 in range(a1, a1 + lcm(a0, a1)):
                 emit(_candidate(a0, a1, a2, a2 + k, 2 * (a2 + k)))
     elif class_number == 5:
         for k in range(1, ceil_div(index, 3)):
             a0, a1 = 2 * k, index - k
-            for a2 in range(a1, a1 + lcm_list((a0, a1))):
+            for a2 in range(a1, a1 + lcm(a0, a1)):
                 emit(_candidate(a0, a1, a2, a2 + k, 2 * (a2 + k)))
     else:
         for k in range(1, index):
             a0, a1 = index - k, index + k
-            for a2 in range(a1, a1 + lcm_list((a0, a1, k))):
+            for a2 in range(a1, a1 + lcm(a0, a1, k)):
                 emit(_candidate(a0, a1, a2, a2 + k, a1 + 2 * a2))
     return found
 
@@ -219,7 +219,7 @@ class TestAgainstReference:
     def test_residue_walk_is_exactly_cond_iv(self):
         # each walk yields, in order, precisely the window values that pass (iv)
         for a0, a1, a2 in combinations_with_replacement(range(1, 13), 3):
-            m = lcm_list((a0, a1, a2))
+            m = lcm(a0, a1, a2)
             for s in {a0, a1, a2}:
                 assert _type1_a3(a0, a1, a2, s, m) == [
                     a3 for a3 in range(a2, a2 + m) if _cond_iv_ints(a0, a1, a2, a3, s + a3)
@@ -228,7 +228,7 @@ class TestAgainstReference:
             for k in range(1, index):
                 a0, a1 = index - k, index + k
                 assert _class6_a2(index, k) == [
-                    a2 for a2 in range(a1, a1 + lcm_list((a0, a1, k)))
+                    a2 for a2 in range(a1, a1 + lcm(a0, a1, k))
                     if _cond_iv_ints(a0, a1, a2, a2 + k, a1 + 2 * a2)
                 ], (index, k)
 

@@ -180,6 +180,13 @@ class TestExpand:
         assert code == 2
         assert err.startswith("ERROR:")
 
+    def test_unknown_class_tag(self, capsys):
+        # no series has a sporadic origin; sporadic cases are bare quintuples
+        series = self.SERIES.replace('"class2"', '"sporadic"')
+        code, out, err = run(capsys, "expand", "--series", series, "--bound", "9")
+        assert code == 2 and out == ""
+        assert err.startswith("ERROR:")
+
     def test_dependent_steps(self, capsys):
         series = '{"base": [1, 1, 2, 3, 4], "steps": [[0, 0, 0, 2, 2], [0, 0, 0, 4, 4]], "class": "tableSeries"}'
         code, out, err = run(capsys, "expand", "--series", series, "--bound", "11")

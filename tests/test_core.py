@@ -11,23 +11,10 @@ from dpweights.core import (
     SeriesClass,
     TableRow,
     ceil_div,
-    gcd_list,
-    lcm_list,
 )
 
 
 class TestHelpers:
-    def test_gcd_list(self):
-        assert gcd_list([12, 18, 30]) == 6
-        assert gcd_list([7]) == 7
-        with pytest.raises(ValueError):
-            gcd_list([])
-
-    def test_lcm_list(self):
-        assert lcm_list([4, 6]) == 12
-        with pytest.raises(ValueError):
-            lcm_list([0, 3])
-
     @given(st.integers(-1000, 1000), st.integers(1, 50))
     def test_ceil_div_matches_float_ceiling(self, a, b):
         assert ceil_div(a, b) == -((-a) // b)
@@ -118,7 +105,7 @@ class TestSeriesClass:
     def test_class_numbers(self):
         assert SeriesClass.from_class_number(3) is SeriesClass.CLASS3
         assert SeriesClass.CLASS3.class_number == 3
-        assert SeriesClass.SPORADIC.class_number is None
+        assert SeriesClass.TABLE_SERIES.class_number is None
         with pytest.raises(ValueError):
             SeriesClass.from_class_number(7)
 
