@@ -19,13 +19,22 @@ windows before any candidate is tested:
   or -I, with h = w / gcd(w, 2).
 * Classes 4 and 5 have short windows and scan them in full.
 
-Each walk yields its values in ascending order, as the full scan did; since
-``dedup`` keeps the last series per key, that order is part of the output.
-The walked candidates meet the integer forms of cond_iv and well-formedness
+Each walk yields its values in ascending order, as the full scan did.  The
+walked candidates meet the integer forms of cond_iv and well-formedness
 from ``conditions`` before a Quintuple is built, and ``is_solid``, which adds
 the structure types, decides on the survivors; in classes 1-3 a non-coprime
 (a0, a1, a2) skips its whole a3 range.  Validity of everything emitted is
 re-checked as a defence against bugs in either condition path.
+
+The merge sorts the series and does not dedupe them:
+
+* A window is one period of its series' steps, so no step can be subtracted
+  from an emitted base, and ``detect_class`` gives each candidate one class,
+  so no two class series share a base.  Table series exist only at indices 1,
+  2, 4 and 6, and the tests cover those indices.
+* Class steps keep the class's defining relation, so every member of a class
+  series has its class's type, while no table quintuple has a type.  Table
+  quintuples are therefore filtered against the table series only.
 """
 from __future__ import annotations
 
@@ -136,21 +145,6 @@ def enumerate_class(class_number: int, index: int) -> list[Series]:
     return found
 
 
-def _outside_series(quintuples: list[Quintuple], series: list[Series]) -> list[Quintuple]:
-    """The quintuples no series contains, unique and sorted."""
-    # steps that leave a0 and a1 fixed confine a series' members to its base's
-    # (a0, a1); series with other steps (some table rows) are always scanned
-    by_head: dict[tuple[int, int] | None, list[Series]] = {}
-    for s in series:
-        fixed = all(step[0] == step[1] == 0 for step in s.steps)
-        by_head.setdefault((s.base.a0, s.base.a1) if fixed else None, []).append(s)
-    unkeyed = by_head.get(None, [])
-    return sorted(
-        q for q in set(quintuples)
-        if not any(contains(s, q) for s in by_head.get((q.a0, q.a1), []) + unkeyed)
-    )
-
-
 def _assert_valid(q: Quintuple) -> None:
     if not quasismooth_divisibility(q).accepted:
         raise RuntimeError(f"emission failed the condition suite: {q}")
@@ -158,24 +152,13 @@ def _assert_valid(q: Quintuple) -> None:
 
 def classify_index(index: int) -> Classification:
     """Complete classification at one index: series plus sporadic quintuples."""
-    two_param = enumerate_class(1, index)
-    one_param: list[Series] = []
-    for cls in range(2, 7):
-        one_param.extend(enumerate_class(cls, index))
+    two_param = sorted(enumerate_class(1, index), key=canonical_key)
+    one_param = [s for cls in range(2, 7) for s in enumerate_class(cls, index)]
     table_series, table_sporadic = instantiate(index)
-    one_param.extend(table_series)
+    one_param = sorted(one_param + table_series, key=canonical_key)
+    sporadic = [q for q in table_sporadic if not any(contains(s, q) for s in table_series)]
 
-    def dedup(seriess: list[Series]) -> list[Series]:
-        by_key = {canonical_key(s): s for s in seriess}
-        return [by_key[k] for k in sorted(by_key)]
-
-    two_param = dedup(two_param)
-    one_param = dedup(one_param)
-    all_series = two_param + one_param
-
-    sporadic = _outside_series(table_sporadic, all_series)
-
-    for s in all_series:
+    for s in two_param + one_param:
         _assert_valid(s.base)
     for q in sporadic:
         _assert_valid(q)

@@ -209,6 +209,8 @@ def render(c: Classification, fmt: str, expand_bound: int | None = None) -> str:
     """
     if fmt == "text":
         return _emit_text(c, expand_bound)
+    if expand_bound is not None:
+        raise ValueError(f"--expand-bound applies only to the text format, not {fmt}")
     if fmt == "json":
         return _emit_json(c)
     if fmt == "csv":

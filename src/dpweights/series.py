@@ -112,29 +112,10 @@ def contains(series: Series, q: Quintuple) -> bool:
     return x >= 0 and y >= 0 and all(diff[k] == x * s1[k] + y * s2[k] for k in range(5))
 
 
-def _try_sub(vals: tuple[int, ...], step: StepVector) -> tuple[int, ...] | None:
-    cand = tuple(v - s for v, s in zip(vals, step))
-    w, d = cand[:4], cand[4]
-    if any(x < 1 for x in w) or not (w[0] <= w[1] <= w[2] <= w[3]) or d <= w[3]:
-        return None
-    return cand
-
-
 def canonical_key(series: Series) -> tuple:
-    """Identity of the generated member set: minimal base plus sorted steps.
+    """Sort key of a series: its base plus its sorted steps.
 
-    The base is walked down by the step vectors until no subtraction leaves a
-    well-defined ordered quintuple; two series get the same key exactly when
-    they generate the same members.
+    Two series with minimal bases, from which no step can be subtracted, share
+    a key exactly when they generate the same members.
     """
-    vals = series.base.astuple()
-    moved = True
-    while moved:
-        moved = False
-        for step in series.steps:
-            lower = _try_sub(vals, step)
-            if lower is not None:
-                vals = lower
-                moved = True
-                break
-    return (vals, tuple(sorted(series.steps)))
+    return (series.base.astuple(), tuple(sorted(series.steps)))

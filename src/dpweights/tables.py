@@ -185,10 +185,7 @@ def instantiate(index: int) -> tuple[list[Series], list[Quintuple]]:
             n = (index - intercept) // slope
             if n < 1:
                 continue
-            w = row.weights_at(n)
-            if any(x < 1 for x in w):
-                continue
-            ws = sorted(w)
+            ws = sorted(row.weights_at(n))
             sporadic.append(Quintuple(*ws, sum(ws) - index))
     for row in SPORADIC_ROWS:
         if row.index == index:

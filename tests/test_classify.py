@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import cache
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 from pathlib import Path
@@ -13,7 +14,6 @@ from golden_tables import expand_golden
 from dpweights.classify import (
     _candidate,
     _class6_a2,
-    _outside_series,
     _type1_a3,
     classify_index,
     enumerate_class,
@@ -40,6 +40,33 @@ EMISSION_COUNTS = {
 }
 
 
+# indices within and past the golden digests' range, as the residue walk checks
+WIDE_INDICES = [*range(1, 25), 30, 40]
+
+
+@cache
+def classified(index: int):
+    return classify_index(index)
+
+
+def canonical_key_by_walk(series: Series) -> tuple:
+    """The base walked down by the steps while the result stays an ordered,
+    well-defined quintuple, plus the sorted steps: a key that identifies the
+    member set whatever base the series was built on."""
+    vals = series.base.astuple()
+    moved = True
+    while moved:
+        moved = False
+        for step in series.steps:
+            cand = tuple(v - s for v, s in zip(vals, step))
+            w, d = cand[:4], cand[4]
+            if all(x >= 1 for x in w) and w[0] <= w[1] <= w[2] <= w[3] < d:
+                vals = cand
+                moved = True
+                break
+    return (vals, tuple(sorted(series.steps)))
+
+
 class TestClassifyIndex:
     @pytest.mark.parametrize("index", sorted(EMISSION_COUNTS))
     def test_emission_counts(self, index):
@@ -63,11 +90,13 @@ class TestClassifyIndex:
         assert all(len(s.steps) == 2 for s in c.two_param)
         assert all(len(s.steps) == 1 for s in c.one_param)
 
-    def test_no_duplicate_series(self):
-        for index in range(1, 9):
-            c = classify_index(index)
-            keys = [canonical_key(s) for s in c.all_series]
-            assert len(keys) == len(set(keys)), index
+    @pytest.mark.parametrize("index", WIDE_INDICES)
+    def test_emitted_bases_minimal_and_distinct(self, index):
+        # the merge sorts without deduping: no emitted base walks down, and
+        # no two series generate the same members
+        keys = [canonical_key(s) for s in classified(index).all_series]
+        assert [canonical_key_by_walk(s) for s in classified(index).all_series] == keys
+        assert len(keys) == len(set(keys))
 
     def test_sporadics_not_series_members(self):
         for index in range(1, 7):
@@ -234,16 +263,16 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("class_number", range(1, 7))
     def test_residue_walk_matches_window_scan(self, class_number):
-        # list equality: the same series in the same order, since dedup keeps
-        # the last series per key
+        # list equality: the same series in the same order
         for index in [*range(15, 25), 30, 40]:
             assert enumerate_class(class_number, index) == window_enumeration(class_number, index), index
 
-    def test_keyed_sporadic_filter_matches_full_scan(self):
-        for index in range(1, 13):
-            c = classify_index(index)
-            table_sporadic = instantiate(index)[1]
-            plain = sorted(
-                q for q in set(table_sporadic) if not any(contains(s, q) for s in c.all_series)
-            )
-            assert _outside_series(table_sporadic, list(c.all_series)) == plain == list(c.sporadic), index
+    @pytest.mark.parametrize("index", WIDE_INDICES)
+    def test_table_series_filter_matches_full_scan(self, index):
+        # table quintuples are filtered against the table series only; the
+        # plain scan checks them against every emitted series
+        c = classified(index)
+        plain = sorted(
+            q for q in set(instantiate(index)[1]) if not any(contains(s, q) for s in c.all_series)
+        )
+        assert list(c.sporadic) == plain

@@ -66,6 +66,12 @@ class TestClassify:
         assert "members with a3 <= 10" in out
         assert "(1,1,1,1,3)" in out
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
+    def test_expansion_needs_text_format(self, capsys, fmt):
+        code, out, err = run(capsys, "classify", "--index", "2", "--format", fmt, "--expand-bound", "10")
+        assert code == 2 and out == ""
+        assert err.startswith("ERROR:") and "--expand-bound" in err
+
     def test_json_roundtrip_byte_identical(self, capsys):
         code, out, _ = run(capsys, "classify", "--index", "4", "--format", "json")
         assert code == 0

@@ -1,4 +1,4 @@
-"""Series construction, expansion, membership and dedupe identity."""
+"""Series construction, expansion, membership and sort keys."""
 from __future__ import annotations
 
 import pytest
@@ -146,7 +146,6 @@ class TestCanonicalKey:
     def test_shifted_representatives_collapse(self):
         a = make_series(2, Quintuple(1, 1, 2, 3, 4))
         b = make_series(2, Quintuple(1, 1, 2, 9, 10))
-        assert canonical_key(a) == canonical_key(b)
         assert {q for q in expand(b, 40)} <= {q for q in expand(a, 40)}
 
     def test_distinct_series_distinct_keys(self):

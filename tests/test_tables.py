@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
+from itertools import permutations
 
 from golden_tables import GOLDEN
 
-from dpweights.conditions import quasismooth_divisibility
+from dpweights.conditions import detect_types, quasismooth_divisibility
 from dpweights.core import Quintuple
 from dpweights.tables import SERIES_ROWS, SPORADIC_ROWS, instantiate
 
@@ -68,3 +70,42 @@ class TestInstantiate:
         for index in range(1, 8):
             _, sporadic = instantiate(index)
             assert len(sporadic) == len(set(sporadic))
+
+
+def type_relations(row):
+    """Each type relation of a row's weights at parameter n, as the linear
+    equations (coefficient of n, constant) that must all vanish, for every
+    assignment of the row's weight expressions to sorted positions."""
+    w, (p, q) = row.weight_exprs, row.index_expr
+
+    def eq(k, *terms):  # sum(c * a_i) - k * I
+        return (sum(c * w[i][0] for c, i in terms) - k * p, sum(c * w[i][1] for c, i in terms) - k * q)
+
+    for i, j, l, m in permutations(range(4)):
+        yield (eq(1, (1, i), (1, j)),)  # I: a_i + a_j = I
+        yield (eq(2, (2, i), (1, j)),)  # II: 2a_i + a_j = 2I
+        yield (eq(2, (1, i), (1, j)), eq(1, (1, i), (1, m), (-1, l)))  # III: a0 + a1 = 2I, a0 + a3 - a2 = I
+
+
+class TestUntyped:
+    # classify filters table quintuples against the table series only, since
+    # class series hold only quintuples of their class's type
+    def test_instantiated_quintuples_have_no_type(self):
+        for index in range(1, 61):
+            for q in instantiate(index)[1]:
+                assert not detect_types(q), (index, q)
+
+    def test_index_growing_rows_untyped_past_index_6(self):
+        # each relation pins n to at most one root, which lies at an index
+        # the check above covers
+        for row in SERIES_ROWS:
+            p, q = row.index_expr
+            if p == 0:
+                continue
+            for eqs in type_relations(row):
+                live = [e for e in eqs if e != (0, 0)]
+                assert live, (row, eqs)
+                roots = {Fraction(-c, s) if s else None for s, c in live}
+                if len(roots) == 1 and None not in roots:
+                    (n,) = roots
+                    assert n < 1 or p * n + q <= 6, (row, eqs)
