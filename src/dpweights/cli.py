@@ -202,15 +202,19 @@ def _emit_latex(c: Classification) -> str:
     return "\n".join(sections) + "\n"
 
 
+def _check_expand_bound(fmt: str, expand_bound: int | None) -> None:
+    if expand_bound is not None and fmt != "text":
+        raise ValueError(f"--expand-bound applies only to the text format, not {fmt}")
+
+
 def render(c: Classification, fmt: str, expand_bound: int | None = None) -> str:
     """The classification in ``fmt``: text, json, csv or latex.
 
     Only the text format lists members, those with a3 <= ``expand_bound``.
     """
+    _check_expand_bound(fmt, expand_bound)
     if fmt == "text":
         return _emit_text(c, expand_bound)
-    if expand_bound is not None:
-        raise ValueError(f"--expand-bound applies only to the text format, not {fmt}")
     if fmt == "json":
         return _emit_json(c)
     if fmt == "csv":
@@ -223,6 +227,8 @@ def render(c: Classification, fmt: str, expand_bound: int | None = None) -> str:
 # ---------------------------------------------------------------- commands
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    # reject the flags before the classification, which takes seconds at large I
+    _check_expand_bound(args.format, args.expand_bound)
     sys.stdout.write(render(classify_index(args.index), args.format, args.expand_bound))
     return 0
 

@@ -198,20 +198,11 @@ def quasismooth_monomial(q: Quintuple) -> bool:
         if not any(d - aj >= ai and (d - aj) % ai == 0 for aj in w):
             return False
 
-    def pair_monomial(ai: int, aj: int, lo: int) -> bool:
-        # bi*ai + bj*aj = d with bi + bj >= lo
-        for bj in range(d // aj + 1):
-            r = d - aj * bj
-            if r % ai == 0 and r // ai + bj >= lo:
-                return True
-        return False
-
-    def edge_monomial(ai: int, aj: int, ak: int) -> bool:
-        # ci*ai + cj*aj = d - ak with ci + cj >= 1
-        r = d - ak
-        for cj in range(r // aj + 1):
-            rr = r - aj * cj
-            if rr % ai == 0 and (rr // ai + cj) >= 1:
+    def pair_monomial(ai: int, aj: int, r: int, lo: int) -> bool:
+        # bi*ai + bj*aj = r with bi + bj >= lo
+        for bj in range(r // aj + 1):
+            rest = r - aj * bj
+            if rest % ai == 0 and rest // ai + bj >= lo:
                 return True
         return False
 
@@ -219,15 +210,16 @@ def quasismooth_monomial(q: Quintuple) -> bool:
     for i, j in PAIRS:
         if (i, j) == waived:
             continue
-        if gcd(w[i], w[j]) > 1 and not pair_monomial(w[i], w[j], 2):
+        if gcd(w[i], w[j]) > 1 and not pair_monomial(w[i], w[j], d, 2):
             return False
 
     # every pair needs either a pair monomial or both edge cross terms
+    # x_i^ci x_j^cj x_k of degree d (ci + cj >= 1), for each other k
     for i, j in PAIRS:
-        if pair_monomial(w[i], w[j], 1):
+        if pair_monomial(w[i], w[j], d, 1):
             continue
         k, l = (x for x in range(4) if x not in (i, j))
-        if not (edge_monomial(w[i], w[j], w[k]) and edge_monomial(w[i], w[j], w[l])):
+        if not (pair_monomial(w[i], w[j], d - w[k], 1) and pair_monomial(w[i], w[j], d - w[l], 1)):
             return False
     return True
 

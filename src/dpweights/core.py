@@ -87,6 +87,16 @@ class SeriesClass(Enum):
 
 StepVector = tuple[int, int, int, int, int]
 
+# step shapes per class number, in units of the series modulus m
+STEP_SHAPES: dict[int, tuple[StepVector, ...]] = {
+    1: ((0, 0, 1, 0, 1), (0, 0, 0, 1, 1)),
+    2: ((0, 0, 0, 1, 1),),
+    3: ((0, 0, 0, 1, 1),),
+    4: ((0, 0, 1, 1, 2),),
+    5: ((0, 0, 1, 1, 2),),
+    6: ((0, 0, 1, 1, 2),),
+}
+
 
 @dataclass(frozen=True)
 class Series:
@@ -94,8 +104,10 @@ class Series:
 
     Every step is a 5-vector of non-negative increments on (a0,a1,a2,a3,d)
     per unit of its parameter.  The degree entry always equals the sum of the
-    weight entries, so all members share the base's index.  Two steps are
-    linearly independent, so each member has exactly one parameter pair.
+    weight entries, so it is positive and all members share the base's index.
+    Two steps are linearly independent, so each member has exactly one
+    parameter pair.  The steps of a class-tagged series are, in some order,
+    the modulus times its class's ``STEP_SHAPES``.
     """
 
     origin: SeriesClass
@@ -111,15 +123,16 @@ class Series:
             if sum(step[:4]) != step[4] or step[4] == 0:
                 raise ValueError(f"degree entry of {step} must equal the sum of its weight entries")
         if len(self.steps) == 2:
+            # degree entries are positive: dependent exactly when s*t[4] == t*s[4]
             s, t = self.steps
-            if all(s[i] * t[j] == s[j] * t[i] for i in range(5) for j in range(i + 1, 5)):
+            if all(s[i] * t[4] == t[i] * s[4] for i in range(4)):
                 raise ValueError(f"series steps {s} and {t} are linearly dependent")
-        m = self.modulus
-        if self.origin.class_number is not None:
-            # class-origin steps move series-defining weights by exactly the modulus
-            for step in self.steps:
-                if any(x not in (0, m) for x in step[:4]):
-                    raise ValueError(f"class-series step {step} must have weight entries in {{0,{m}}}")
+        n = self.origin.class_number
+        if n is not None:
+            m = self.modulus
+            shaped = [tuple(m * e for e in shape) for shape in STEP_SHAPES[n]]
+            if sorted(self.steps) != sorted(shaped):
+                raise ValueError(f"class-{n} series steps must be {shaped}, got {list(self.steps)}")
 
     @property
     def modulus(self) -> int:
@@ -168,33 +181,3 @@ class Classification:
     def all_series(self) -> tuple[Series, ...]:
         return self.two_param + self.one_param
 
-
-@dataclass(frozen=True)
-class TableRow:
-    """A one-parameter table datum: weights, degree and index linear in n >= 1."""
-
-    weight_exprs: tuple[tuple[int, int], ...]  # four (slope, intercept) pairs
-    degree_expr: tuple[int, int]
-    index_expr: tuple[int, int]
-    source_label: str
-
-    def __post_init__(self) -> None:
-        if len(self.weight_exprs) != 4:
-            raise ValueError("a table row carries exactly four weight expressions")
-        # degree = sum(weights) - index must hold identically in n
-        ws, wi = (sum(e[0] for e in self.weight_exprs), sum(e[1] for e in self.weight_exprs))
-        if self.degree_expr != (ws - self.index_expr[0], wi - self.index_expr[1]):
-            raise ValueError(f"degree expression inconsistent with weights/index: {self}")
-        # positive for every n >= 1: non-negative slope and positive value at n=1
-        for slope, intercept in self.weight_exprs:
-            if slope < 0 or slope + intercept < 1:
-                raise ValueError(f"weight expression ({slope},{intercept}) not positive for n >= 1")
-
-    def weights_at(self, n: int) -> tuple[int, int, int, int]:
-        return tuple(slope * n + intercept for slope, intercept in self.weight_exprs)  # type: ignore[return-value]
-
-    def degree_at(self, n: int) -> int:
-        return self.degree_expr[0] * n + self.degree_expr[1]
-
-    def index_at(self, n: int) -> int:
-        return self.index_expr[0] * n + self.index_expr[1]

@@ -8,17 +8,7 @@ from __future__ import annotations
 from math import lcm
 
 from .conditions import detect_class, is_solid
-from .core import Quintuple, Series, SeriesClass, StepVector
-
-# step templates per class, in units of the modulus m
-_STEP_SHAPES: dict[int, tuple[StepVector, ...]] = {
-    1: ((0, 0, 1, 0, 1), (0, 0, 0, 1, 1)),
-    2: ((0, 0, 0, 1, 1),),
-    3: ((0, 0, 0, 1, 1),),
-    4: ((0, 0, 1, 1, 2),),
-    5: ((0, 0, 1, 1, 2),),
-    6: ((0, 0, 1, 1, 2),),
-}
+from .core import STEP_SHAPES, Quintuple, Series, SeriesClass, StepVector
 
 
 def defining_weights(class_number: int, rep: Quintuple) -> tuple[int, ...]:
@@ -28,8 +18,7 @@ def defining_weights(class_number: int, rep: Quintuple) -> tuple[int, ...]:
     if class_number in (2, 3):
         return (rep.a0, rep.a1, rep.a2)
     if class_number == 6:
-        k = rep.index - rep.a0
-        return (rep.index - k, rep.index + k, k)
+        return (rep.a0, rep.a1, rep.index - rep.a0)
     raise ValueError(f"series class number must be 1..6, got {class_number}")
 
 
@@ -45,7 +34,7 @@ def make_series(class_number: int, rep: Quintuple) -> Series:
     m = lcm(*defining_weights(class_number, rep))
     steps = tuple(
         tuple(m * e for e in shape)  # type: ignore[misc]
-        for shape in _STEP_SHAPES[class_number]
+        for shape in STEP_SHAPES[class_number]
     )
     return Series(SeriesClass.from_class_number(class_number), rep, steps)
 
@@ -56,14 +45,8 @@ def _shifted(base: tuple[int, ...], step: StepVector, count: int) -> tuple[int, 
 
 def _max_param(vals: tuple[int, ...], step: StepVector, bound: int) -> int:
     """Largest multiplier keeping every weight coordinate at or below bound."""
-    best = None
-    for i in range(4):
-        if step[i] > 0:
-            cap = (bound - vals[i]) // step[i]
-            best = cap if best is None else min(best, cap)
-    if best is None:
-        raise ValueError(f"step {step} moves no weight")
-    return best
+    # the degree entry is positive and sums the weight entries, so one moves
+    return min((bound - vals[i]) // step[i] for i in range(4) if step[i] > 0)
 
 
 def expand(series: Series, bound: int) -> list[Quintuple]:
@@ -95,20 +78,20 @@ def contains(series: Series, q: Quintuple) -> bool:
     diff = tuple(t - b for t, b in zip(q.astuple(), series.base.astuple()))
     if any(x < 0 for x in diff):
         return False
-    # the floor divisions are exact when a solution exists; comparing all
-    # five coordinates rejects every other case
+    # every step's degree entry is positive (Series enforces it), so it is
+    # the pivot; the floor divisions are exact when a solution exists, and
+    # comparing all five coordinates rejects every other case
     s1 = series.steps[0]
     if len(series.steps) == 1:
-        pivot = next(i for i in range(5) if s1[i] > 0)
-        x = diff[pivot] // s1[pivot]
+        x = diff[4] // s1[4]
         return all(diff[i] == x * s1[i] for i in range(5))
-    # independent steps (Series enforces it) have a non-zero 2x2 minor, and
-    # Cramer's rule on it gives the only candidate parameters (x, y)
+    # independent steps have a non-zero 2x2 minor against the degree column,
+    # and Cramer's rule on it gives the only candidate parameters (x, y)
     s2 = series.steps[1]
-    i, j = next((i, j) for i in range(5) for j in range(i + 1, 5) if s1[i] * s2[j] != s1[j] * s2[i])
-    det = s1[i] * s2[j] - s1[j] * s2[i]
-    x = (diff[i] * s2[j] - diff[j] * s2[i]) // det
-    y = (s1[i] * diff[j] - s1[j] * diff[i]) // det
+    i = next(i for i in range(4) if s1[i] * s2[4] != s1[4] * s2[i])
+    det = s1[i] * s2[4] - s1[4] * s2[i]
+    x = (diff[i] * s2[4] - diff[4] * s2[i]) // det
+    y = (s1[i] * diff[4] - s1[4] * diff[i]) // det
     return x >= 0 and y >= 0 and all(diff[k] == x * s1[k] + y * s2[k] for k in range(5))
 
 

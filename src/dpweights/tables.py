@@ -1,19 +1,52 @@
 """Embedded quintuple tables and their per-index instantiation.
 
-Two data sets cover the quintuples that no series class produces:
+Every catalogue entry is a ``TableRow``: weights, degree and index linear in
+n >= 1, with the label it was filed under.  The rows cover the quintuples
+that no series class produces:
 
-* ``SERIES_ROWS``: one-parameter families linear in n >= 1.  Rows with a
-  constant index expression are genuine series at that index; rows whose
-  index grows with n contribute a single quintuple per index.
-* ``SPORADIC_ROWS``: isolated quintuples, indices 1 through 7.
-
-Each row keeps the catalogue label it was filed under.
+* ``SERIES_ROWS``: one-parameter families.  Rows with a constant index are
+  genuine series at that index; rows whose index grows with n contribute a
+  single quintuple per index.
+* ``SPORADIC_ROWS``: isolated quintuples at indices 1 through 7, rows whose
+  slopes are all zero.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Quintuple, Series, SeriesClass, TableRow
+from .core import Quintuple, Series, SeriesClass
+
+
+@dataclass(frozen=True)
+class TableRow:
+    """A one-parameter table datum: weights, degree and index linear in n >= 1."""
+
+    weight_exprs: tuple[tuple[int, int], ...]  # four (slope, intercept) pairs
+    degree_expr: tuple[int, int]
+    index_expr: tuple[int, int]
+    source_label: str
+
+    def __post_init__(self) -> None:
+        if len(self.weight_exprs) != 4:
+            raise ValueError("a table row carries exactly four weight expressions")
+        # degree = sum(weights) - index must hold identically in n
+        ws, wi = (sum(e[0] for e in self.weight_exprs), sum(e[1] for e in self.weight_exprs))
+        if self.degree_expr != (ws - self.index_expr[0], wi - self.index_expr[1]):
+            raise ValueError(f"degree expression inconsistent with weights/index: {self}")
+        # positive for every n >= 1: non-negative slope and positive value at n=1
+        for slope, intercept in self.weight_exprs:
+            if slope < 0 or slope + intercept < 1:
+                raise ValueError(f"weight expression ({slope},{intercept}) not positive for n >= 1")
+
+    def weights_at(self, n: int) -> tuple[int, int, int, int]:
+        return tuple(slope * n + intercept for slope, intercept in self.weight_exprs)  # type: ignore[return-value]
+
+    def degree_at(self, n: int) -> int:
+        return self.degree_expr[0] * n + self.degree_expr[1]
+
+    def index_at(self, n: int) -> int:
+        return self.index_expr[0] * n + self.index_expr[1]
+
 
 _R = TableRow
 
@@ -56,28 +89,12 @@ SERIES_ROWS: tuple[TableRow, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class SporadicRow:
-    """A single isolated quintuple with its catalogue label."""
-
-    weights: tuple[int, int, int, int]
-    degree: int
-    index: int
-    source_label: str
-
-    def __post_init__(self) -> None:
-        if tuple(sorted(self.weights)) != self.weights:
-            raise ValueError(f"sporadic weights must be sorted: {self.weights}")
-        if sum(self.weights) - self.degree != self.index:
-            raise ValueError(f"degree/index mismatch in sporadic row {self}")
-
-    def quintuple(self) -> Quintuple:
-        return Quintuple(*self.weights, self.degree)
+def _S(weights: tuple[int, int, int, int], degree: int, index: int, label: str) -> TableRow:
+    """A sporadic entry: the row whose slopes are all zero."""
+    return TableRow(tuple((0, w) for w in weights), (0, degree), (0, index), label)
 
 
-_S = SporadicRow
-
-SPORADIC_ROWS: tuple[SporadicRow, ...] = (
+SPORADIC_ROWS: tuple[TableRow, ...] = (
     _S((1, 3, 5, 8), 16, 1, "VIII.3(5)"),
     _S((2, 3, 5, 9), 18, 1, "II.2(3)"),
     _S((3, 3, 5, 5), 15, 1, "I.19"),
@@ -166,28 +183,26 @@ def _series_from_row(row: TableRow, index: int) -> tuple[Series, list[Quintuple]
 
 
 def instantiate(index: int) -> tuple[list[Series], list[Quintuple]]:
-    """Table contribution at one index: series and sporadic quintuples."""
+    """Table contribution at one index: series and sporadic quintuples.
+
+    A constant-index row whose weights move is a series; every other row
+    gives its sorted instance at the n for this index.
+    """
     if index < 1:
         raise ValueError(f"index must be positive, got {index}")
     series_out: list[Series] = []
     sporadic: list[Quintuple] = []
-    for row in SERIES_ROWS:
+    for row in SERIES_ROWS + SPORADIC_ROWS:
         slope, intercept = row.index_expr
-        if slope == 0:
-            if intercept != index:
-                continue
+        # a constant-index row has its index at every n, so take n = 1
+        n, rest = divmod(index - intercept, slope) if slope else (1, index - intercept)
+        if rest or n < 1:
+            continue
+        if slope == 0 and any(e[0] for e in row.weight_exprs):
             ser, early = _series_from_row(row, index)
             series_out.append(ser)
             sporadic.extend(early)
         else:
-            if (index - intercept) % slope:
-                continue
-            n = (index - intercept) // slope
-            if n < 1:
-                continue
             ws = sorted(row.weights_at(n))
             sporadic.append(Quintuple(*ws, sum(ws) - index))
-    for row in SPORADIC_ROWS:
-        if row.index == index:
-            sporadic.append(row.quintuple())
     return series_out, sorted(set(sporadic))

@@ -72,6 +72,19 @@ class TestClassify:
         assert code == 2 and out == ""
         assert err.startswith("ERROR:") and "--expand-bound" in err
 
+    def test_expansion_rejected_before_classifying(self, capsys, monkeypatch):
+        def fail(index):
+            raise AssertionError("classify_index ran")
+
+        monkeypatch.setattr("dpweights.cli.classify_index", fail)
+        code, out, err = run(capsys, "classify", "--index", "40", "--format", "json", "--expand-bound", "10")
+        assert code == 2 and out == ""
+        assert err.startswith("ERROR:") and "--expand-bound" in err
+
+    def test_render_rejects_expansion_outside_text(self):
+        with pytest.raises(ValueError, match="--expand-bound"):
+            render(classify_index(1), "json", 10)
+
     def test_json_roundtrip_byte_identical(self, capsys):
         code, out, _ = run(capsys, "classify", "--index", "4", "--format", "json")
         assert code == 0
@@ -190,6 +203,20 @@ class TestExpand:
         # no series has a sporadic origin; sporadic cases are bare quintuples
         series = self.SERIES.replace('"class2"', '"sporadic"')
         code, out, err = run(capsys, "expand", "--series", series, "--bound", "9")
+        assert code == 2 and out == ""
+        assert err.startswith("ERROR:")
+
+    @pytest.mark.parametrize(
+        "steps, tag",
+        [
+            ("[[0, 0, 2, 0, 2]]", "class2"),  # moves a2, class 2 moves a3
+            ("[[0, 0, 2, 0, 2], [0, 0, 0, 2, 2]]", "class2"),  # the class-1 steps
+            ("[[0, 0, 0, 2, 2]]", "class1"),  # class 1 has two steps
+        ],
+    )
+    def test_steps_of_another_class(self, capsys, steps, tag):
+        series = f'{{"base": [1, 1, 2, 3, 4], "steps": {steps}, "class": "{tag}"}}'
+        code, out, err = run(capsys, "expand", "--series", series, "--bound", "12")
         assert code == 2 and out == ""
         assert err.startswith("ERROR:")
 

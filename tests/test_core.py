@@ -9,9 +9,9 @@ from dpweights.core import (
     Quintuple,
     Series,
     SeriesClass,
-    TableRow,
     ceil_div,
 )
+from dpweights.tables import TableRow
 
 
 class TestHelpers:
@@ -87,6 +87,16 @@ class TestSeries:
             self.make(((0, 0, 0, 0, 0),))  # a step must move something
         with pytest.raises(ValueError):
             self.make(((0, 0, 0, 2, 2), (0, 0, 0, 4, 4)))  # linearly dependent steps
+        # a class-tagged series carries exactly its class's steps
+        for steps, origin in [
+            (((0, 0, 2, 0, 2),), SeriesClass.CLASS2),  # class 2 moves a3
+            (((0, 0, 2, 0, 2), (0, 0, 0, 2, 2)), SeriesClass.CLASS2),  # the class-1 steps
+            (((0, 0, 0, 2, 2),), SeriesClass.CLASS1),  # class 1 has two steps
+        ]:
+            with pytest.raises(ValueError):
+                self.make(steps, origin)
+        # in either order
+        assert self.make(((0, 0, 0, 2, 2), (0, 0, 2, 0, 2)), SeriesClass.CLASS1).modulus == 2
 
     def test_class_origin_steps_move_by_modulus(self):
         # mixed 2/4 increments are fine for table-origin series
