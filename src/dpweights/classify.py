@@ -23,8 +23,13 @@ Each walk yields its values in ascending order, as the full scan did.  The
 walked candidates meet the integer forms of cond_iv and well-formedness
 from ``conditions`` before a Quintuple is built, and ``is_solid``, which adds
 the structure types, decides on the survivors; in classes 1-3 a non-coprime
-(a0, a1, a2) skips its whole a3 range.  Validity of everything emitted is
-re-checked as a defence against bugs in either condition path.
+(a0, a1, a2) skips its whole a3 range.  ``make_series`` checks each
+survivor's class and builds its series without re-checking the steps.
+
+Everything emitted is self-checked by the divisibility form's verdict, which
+builds no per-pair detail.  It re-runs the filter's (iv) and
+well-formedness, so what it really guards is (v) and (vi): the claim that a
+solid quintuple is quasi-smooth.
 
 The merge sorts the series and does not dedupe them:
 

@@ -26,6 +26,7 @@ edge; every other condition still applies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .core import Quintuple
@@ -39,27 +40,49 @@ TripleChecks = tuple[tuple[tuple[int, int, int], bool], ...]
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Per-condition outcome for one quintuple, with per-pair detail."""
+    """Verdict on one quintuple, with per-condition detail built on first read.
 
-    wf_pairs: PairChecks          # gcd(ai, aj) divides d
-    wf_triples: TripleChecks      # gcd of any three weights is 1
-    cond_iv: bool
-    cond_v: PairChecks            # only pairs with gcd > 1
-    cond_vi: PairChecks
+    ``accepted`` aggregates all conditions and is decided when the report is
+    made; the per-pair and per-triple detail, which only ``dpweights check``
+    prints, is built from the same per-pair helper when one of its fields is
+    first read.
+    """
+
+    quintuple: Quintuple
+    accepted: bool
     waived_pair: tuple[int, int] | None = None  # covered-edge family admission
+
+    @cached_property
+    def _pairs(self) -> tuple[tuple[tuple[int, int], tuple[bool, bool | None, bool]], ...]:
+        w, d = self.quintuple.weights, self.quintuple.d
+        return tuple(((i, j), _pair_conditions(w, d, i, j, self.waived_pair)) for i, j in PAIRS)
+
+    @cached_property
+    def wf_pairs(self) -> PairChecks:
+        """gcd(ai, aj) divides d."""
+        return tuple((p, wf) for p, (wf, _, _) in self._pairs)
+
+    @cached_property
+    def wf_triples(self) -> TripleChecks:
+        """gcd of any three weights is 1."""
+        return tuple(zip(TRIPLES, _triple_conditions(self.quintuple.weights)))
+
+    @cached_property
+    def cond_iv(self) -> bool:
+        return cond_iv(self.quintuple)
+
+    @cached_property
+    def cond_v(self) -> PairChecks:
+        """Only pairs with gcd > 1."""
+        return tuple((p, v) for p, (_, v, _) in self._pairs if v is not None)
+
+    @cached_property
+    def cond_vi(self) -> PairChecks:
+        return tuple((p, vi) for p, (_, _, vi) in self._pairs)
 
     @property
     def well_formed(self) -> bool:
         return all(ok for _, ok in self.wf_pairs) and all(ok for _, ok in self.wf_triples)
-
-    @property
-    def accepted(self) -> bool:
-        return (
-            self.well_formed
-            and self.cond_iv
-            and all(ok for _, ok in self.cond_v)
-            and all(ok for _, ok in self.cond_vi)
-        )
 
 
 def _well_formed_ints(a0: int, a1: int, a2: int, a3: int, d: int) -> bool:
@@ -126,40 +149,54 @@ def _reaches(ai: int, aj: int, r: int) -> bool:
     return (r // g) * pow(aj // g, -1, m) % m <= r // aj
 
 
-def quasismooth_divisibility(q: Quintuple) -> ConditionReport:
-    """Full divisibility-form report; ``accepted`` aggregates all conditions.
+def _triple_conditions(w: tuple[int, int, int, int]) -> list[bool]:
+    """Condition (ii) on each weight triple of ``TRIPLES``: its gcd is 1."""
+    return [gcd(w[i], w[j], w[k]) == 1 for i, j, k in TRIPLES]
 
-    Per-pair entries record effective acceptance: the covered-edge family's
-    even pair passes its pure-pair checks by waiver (see module docstring),
-    recorded in ``waived_pair``.
+
+def _pair_conditions(
+    w: tuple[int, int, int, int], d: int, i: int, j: int, waived: tuple[int, int] | None
+) -> tuple[bool, bool | None, bool]:
+    """Conditions (i), (v) and (vi) on the weight pair (i, j).
+
+    (v) is None for a coprime pair, which it does not concern.  The entries
+    record effective acceptance: the covered-edge family's even pair passes
+    its pure-pair checks by waiver (see module docstring).
+    """
+    ai, aj = w[i], w[j]
+    g = gcd(ai, aj)
+    # one pure-pair test serves (v) and (vi); without a pure pair monomial,
+    # (vi) needs both cross monomials covering edges k and l
+    pure = _reaches(ai, aj, d)
+    if pure:
+        vi = True
+    else:
+        k, l = (x for x in range(4) if x not in (i, j))
+        vi = _reaches(ai, aj, d - w[k]) and _reaches(ai, aj, d - w[l])
+    waive = (i, j) == waived
+    return waive or d % g == 0, ((pure or waive) if g > 1 else None), vi
+
+
+def quasismooth_divisibility(q: Quintuple) -> ConditionReport:
+    """Divisibility-form report; ``accepted`` aggregates all conditions.
+
+    The verdict stops at the first failed condition; the per-pair detail is
+    built only when read.
     """
     w, d = q.weights, q.d
     waived = covered_edge_pair(q)
-    wf_pairs = tuple(
-        ((i, j), d % gcd(w[i], w[j]) == 0 or (i, j) == waived) for i, j in PAIRS
-    )
-    wf_triples = tuple(((i, j, k), gcd(w[i], w[j], w[k]) == 1) for i, j, k in TRIPLES)
-    v_detail = []
-    vi_detail = []
+    return ConditionReport(q, _accepted(w, d, waived), waived)
+
+
+def _accepted(w: tuple[int, int, int, int], d: int, waived: tuple[int, int] | None) -> bool:
+    """Every condition holds, decided from the same helpers as the detail."""
+    if not (all(_triple_conditions(w)) and _cond_iv_ints(*w, d)):
+        return False
     for i, j in PAIRS:
-        ai, aj = w[i], w[j]
-        # one pure-pair test serves (v) and (vi); without a pure pair
-        # monomial, (vi) needs both cross monomials covering edges k and l
-        ok = pure = _reaches(ai, aj, d)
-        if gcd(ai, aj) > 1:
-            v_detail.append(((i, j), pure or (i, j) == waived))
-        if not pure:
-            k, l = (x for x in range(4) if x not in (i, j))
-            ok = _reaches(ai, aj, d - w[k]) and _reaches(ai, aj, d - w[l])
-        vi_detail.append(((i, j), ok))
-    return ConditionReport(
-        wf_pairs=wf_pairs,
-        wf_triples=wf_triples,
-        cond_iv=cond_iv(q),
-        cond_v=tuple(v_detail),
-        cond_vi=tuple(vi_detail),
-        waived_pair=waived,
-    )
+        wf, v, vi = _pair_conditions(w, d, i, j, waived)
+        if not wf or v is False or not vi:
+            return False
+    return True
 
 
 def quasismooth_monomial(q: Quintuple) -> bool:

@@ -134,6 +134,22 @@ class Series:
             if sorted(self.steps) != sorted(shaped):
                 raise ValueError(f"class-{n} series steps must be {shaped}, got {list(self.steps)}")
 
+    @classmethod
+    def _of_class(cls, class_number: int, base: Quintuple, m: int) -> "Series":
+        """The class series through ``base`` with modulus ``m``, unchecked.
+
+        For callers that have checked that ``base`` lies in the class and that
+        ``m`` is the lcm of its defining weights: the steps, ``m`` times the
+        class's ``STEP_SHAPES``, then meet every rule of ``__post_init__`` by
+        construction, so it is skipped.
+        """
+        series = object.__new__(cls)
+        object.__setattr__(series, "origin", SeriesClass.from_class_number(class_number))
+        object.__setattr__(series, "base", base)
+        steps = tuple([(m * a, m * b, m * c, m * e, m * f) for a, b, c, e, f in STEP_SHAPES[class_number]])
+        object.__setattr__(series, "steps", steps)
+        return series
+
     @property
     def modulus(self) -> int:
         """Common granularity of the weight increments."""
@@ -165,7 +181,17 @@ class Series:
         steps = tuple(tuple(s) for s in data["steps"])
         if any(type(x) is not int for step in steps for x in step):
             raise ValueError(f"step entries must be integers: {data['steps']}")
-        return cls(SeriesClass(data["class"]), base, steps)
+        origin = SeriesClass(data["class"])
+        n = origin.class_number
+        if n is not None:
+            # a class series is fixed by its base: the base must lie in the
+            # class and be solid, and the steps must be that series' steps
+            from .series import make_series  # series.py builds on this module
+
+            expected = make_series(n, base).steps
+            if sorted(steps) != sorted(expected):
+                raise ValueError(f"class-{n} series through {base} has steps {list(expected)}, got {list(steps)}")
+        return cls(origin, base, steps)
 
 
 @dataclass(frozen=True)

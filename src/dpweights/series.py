@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from math import lcm
 
-from .conditions import detect_class, is_solid
-from .core import STEP_SHAPES, Quintuple, Series, SeriesClass, StepVector
+from .conditions import cond_iv, detect_class, well_formed
+from .core import Quintuple, Series, StepVector
 
 
 def defining_weights(class_number: int, rep: Quintuple) -> tuple[int, ...]:
@@ -25,18 +25,17 @@ def defining_weights(class_number: int, rep: Quintuple) -> tuple[int, ...]:
 def make_series(class_number: int, rep: Quintuple) -> Series:
     """Build the series of the given class through a solid representative.
 
-    The modulus is the lcm of the class-defining weights.
+    Each class's defining relation is a type I, II or III relation, so a
+    quintuple in a class always has a type, and solidity reduces to (iv) and
+    well-formedness.  The input is checked once; the steps are the modulus,
+    the lcm of the class-defining weights, times the class's step shapes, and
+    are built without re-checking them.
     """
-    if not is_solid(rep):
-        raise ValueError(f"series representative {rep} is not solid")
     if detect_class(rep) != class_number:
         raise ValueError(f"{rep} does not lie in series class {class_number}")
-    m = lcm(*defining_weights(class_number, rep))
-    steps = tuple(
-        tuple(m * e for e in shape)  # type: ignore[misc]
-        for shape in STEP_SHAPES[class_number]
-    )
-    return Series(SeriesClass.from_class_number(class_number), rep, steps)
+    if not (cond_iv(rep) and well_formed(rep)):
+        raise ValueError(f"series representative {rep} is not solid")
+    return Series._of_class(class_number, rep, lcm(*defining_weights(class_number, rep)))
 
 
 def _shifted(base: tuple[int, ...], step: StepVector, count: int) -> tuple[int, ...]:

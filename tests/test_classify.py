@@ -20,7 +20,7 @@ from dpweights.classify import (
     expand_classification,
 )
 from dpweights.cli import main
-from dpweights.conditions import _cond_iv_ints, is_solid, quasismooth_divisibility
+from dpweights.conditions import _cond_iv_ints, detect_class, is_solid, quasismooth_divisibility
 from dpweights.core import Quintuple, Series, SeriesClass, ceil_div
 from dpweights.series import canonical_key, contains, expand, make_series
 from dpweights.tables import instantiate
@@ -97,6 +97,17 @@ class TestClassifyIndex:
         keys = [canonical_key(s) for s in classified(index).all_series]
         assert [canonical_key_by_walk(s) for s in classified(index).all_series] == keys
         assert len(keys) == len(set(keys))
+        # class series are built without __post_init__; the checked build agrees
+        for s in classified(index).all_series:
+            if s.origin.class_number is not None:
+                assert Series(s.origin, s.base, s.steps) == s
+                assert detect_class(s.base) == s.origin.class_number
+
+    def test_self_check_rejects_invalid_emission(self, monkeypatch):
+        # (1,1,2,2,5) is not quasi-smooth: gcd(2, 2) does not divide 5
+        monkeypatch.setattr("dpweights.classify.instantiate", lambda index: ([], [Quintuple(1, 1, 2, 2, 5)]))
+        with pytest.raises(RuntimeError, match="condition suite"):
+            classify_index(1)
 
     def test_sporadics_not_series_members(self):
         for index in range(1, 7):
@@ -118,8 +129,6 @@ class TestEnumerateClass:
         assert all(s.origin is SeriesClass.CLASS1 for s in series)
 
     def test_class_bases_live_in_class(self):
-        from dpweights.conditions import detect_class
-
         for n in range(1, 7):
             for s in enumerate_class(n, 6):
                 assert detect_class(s.base) == n, (n, s.base)

@@ -42,6 +42,22 @@ def check_inputs() -> list[tuple[int, ...]]:
     return cases
 
 
+# sha256 of `classify --index I --format json` for I = 31..40, past the
+# golden digests' range, recorded before emission skipped re-validation
+JSON_SHA256 = {
+    31: "0272f733ea2a0f7266ca993b567c88ef1601f070971522240167b7fa683ce8a5",
+    32: "e13b404e0592bbd6c513ab47d760cad39b447b6d4c9e3e5982cb28a8386da75a",
+    33: "5c23073a4ed1a7d604b8600e9b36197327f347beb235aa7b562252b06052752c",
+    34: "a768d30e476afa029667f5fc27d8ad792dff770a7ed8b26cea6ae10658814fcd",
+    35: "6f2c07b79439a3865ad77f9622f6ec08ae0829361a33391432777e77b125210f",
+    36: "df94fd18bc2636be55ab3ca0c1e87f23f6e8b12cd6958eb642e873cd7de58443",
+    37: "b089531948f2a5868ff6da29f0bad95d43a8b0623c548c7d7de75bfd25b42b6d",
+    38: "5cfe1b23c94429228ebcdf5c8a95c59efaed4353d19c125ac999e96ab1e6fc56",
+    39: "3e2a9828e8556bd8a03b90eeff408fb8267f1da6733eba59182da3fa622c172f",
+    40: "0da0c6c0cae74e1e9aa7442fd11b75bcb09162c591d25e0038295daed00dfb75",
+}
+
+
 def run(capsys, *argv):
     try:
         code = main(list(argv))
@@ -101,7 +117,10 @@ class TestClassify:
         two_param = cs[1].two_param
         cs += [Classification(3, (), (), ()), Classification(2, two_param, (), ())]
         for c in cs:
-            assert render(c, "json") == json.dumps(classification_payload(c), indent=2) + "\n", c.index
+            text = render(c, "json")
+            assert text == json.dumps(classification_payload(c), indent=2) + "\n", c.index
+            if c.index in JSON_SHA256:
+                assert hashlib.sha256(text.encode()).hexdigest() == JSON_SHA256[c.index], c.index
 
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "classify", "--index", "3", "--format", "csv")
@@ -217,6 +236,20 @@ class TestExpand:
     def test_steps_of_another_class(self, capsys, steps, tag):
         series = f'{{"base": [1, 1, 2, 3, 4], "steps": {steps}, "class": "{tag}"}}'
         code, out, err = run(capsys, "expand", "--series", series, "--bound", "12")
+        assert code == 2 and out == ""
+        assert err.startswith("ERROR:")
+
+    @pytest.mark.parametrize(
+        "base, steps",
+        [
+            ("[1, 2, 3, 3, 6]", "[[0, 0, 0, 2, 2]]"),  # a class-1 base
+            ("[1, 1, 2, 3, 4]", "[[0, 0, 0, 4, 4]]"),  # modulus lcm(1, 1, 2) is 2
+            ("[1, 1, 2, 4, 5]", "[[0, 0, 0, 2, 2]]"),  # gcd(2, 4) does not divide 5
+        ],
+    )
+    def test_base_outside_class(self, capsys, base, steps):
+        series = f'{{"base": {base}, "steps": {steps}, "class": "class2"}}'
+        code, out, err = run(capsys, "expand", "--series", series, "--bound", "9")
         assert code == 2 and out == ""
         assert err.startswith("ERROR:")
 

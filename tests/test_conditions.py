@@ -23,6 +23,7 @@ from dpweights.conditions import (
     well_formed,
 )
 from dpweights.core import Quintuple
+from dpweights.series import make_series
 
 
 def reaches_by_search(ai: int, aj: int, r: int) -> bool:
@@ -89,7 +90,13 @@ class TestForms:
 
     def test_exhaustive_agreement_small(self):
         for q in quintuples_up_to(20, 8):
-            assert quasismooth_monomial(q) == quasismooth_divisibility(q).accepted, q
+            r = quasismooth_divisibility(q)
+            assert quasismooth_monomial(q) == r.accepted, q
+            # the eager verdict is the conjunction of the detail built on read
+            detail = (
+                r.well_formed and r.cond_iv and all(ok for _, ok in r.cond_v) and all(ok for _, ok in r.cond_vi)
+            )
+            assert r.accepted == detail, q
 
     @given(
         st.lists(st.integers(1, 40), min_size=4, max_size=4),
@@ -179,6 +186,21 @@ class TestPieces:
         assert detect_class(Quintuple(1, 1, 2, 3, 4)) == 2
         assert detect_class(Quintuple(2, 4, 5, 7, 14)) == 4
         assert detect_class(Quintuple(2, 3, 3, 5, 12)) is None
+
+    def test_make_series_is_solid_and_in_class(self):
+        # every class's relation is of some type, so make_series may drop
+        # detect_types and still accept exactly the solid quintuples in class n
+        for q in quintuples_up_to(20, 8):
+            cls, solid = detect_class(q), is_solid(q)
+            if cls is not None:
+                assert detect_types(q), q
+            for n in range(1, 7):
+                try:
+                    make_series(n, q)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == (solid and cls == n), (q, n)
 
     def test_class_guards_exclusive(self):
         # every quintuple lands in at most one class by construction
