@@ -19,12 +19,34 @@ windows before any candidate is tested:
   or -I, with h = w / gcd(w, 2).
 * Classes 4 and 5 have short windows and scan them in full.
 
-Each walk yields its values in ascending order, as the full scan did.  The
-walked candidates meet the integer forms of cond_iv and well-formedness
-from ``conditions`` before a Quintuple is built, and ``is_solid``, which adds
-the structure types, decides on the survivors; in classes 1-3 a non-coprime
-(a0, a1, a2) skips its whole a3 range.  ``make_series`` checks each
-survivor's class and builds its series without re-checking the steps.
+Well-formedness then sieves the walked values with a few gcd tests, so most
+of the candidates it would reject are never tried:
+
+* In classes 1-3 write t, u for the two weights of a0..a2 other than s.  A
+  pair gcd that holds a3 divides d, and d - a3 = s, so it divides s as well:
+  gcd(t, a3) and gcd(u, a3) divide the triples (s, t, a3) and (s, u, a3).
+  gcd(s, t) and gcd(s, u) divide d - s = a3 and the same triples.  Coprime
+  triples force all four to 1, that is gcd(s, t*u) = 1, which skips the
+  whole a3 walk, and gcd(a3, t*u) = 1.  These make every triple coprime, and
+  leave gcd(s, a3), which divides d, and gcd(t, u).  That last one divides
+  d by (iv): t divides d - a_j for some j, a_j = s or a3 would put a factor
+  of gcd(t, u) into a3 or s, so a_j is t or u, and gcd(t, u) divides d.
+* In class 6, with g = gcd(a0, a1): gcd(a2, a3) = gcd(a2, k) divides d
+  exactly when it divides a1 and so a0 too, hence it divides the triple
+  (a0, a2, a3) and is 1, which also makes the triples holding a2 and a3
+  coprime.  gcd(a0, a2) must divide d - 2*a2 = a1, and gcd(a1, a3) must
+  divide 2*a3 - d + a1 = 2k.  The other two triples hold a0 and a1 and need
+  gcd(g, a2) = gcd(g, a3) = 1.  The pairs (a0, a3) and (a1, a2) divide
+  d = a0 + 2*a3 = a1 + 2*a2 anyway, and g divides d by (iv): an odd prime or
+  4 dividing g would divide none of the four d - a_j above, so g divides 2
+  and with it a1 + 2*a2 = d.
+
+Each walk yields its values in ascending order, as the full scan did, and the
+sieve only drops values.  The walked candidates still meet the integer forms
+of cond_iv and well-formedness from ``conditions`` before a Quintuple is
+built, and ``is_solid``, which adds the structure types, decides on the
+survivors.  ``make_series`` checks each survivor's class and builds its
+series without re-checking the steps.
 
 Everything emitted is self-checked by the divisibility form's verdict, which
 builds no per-pair detail.  It re-runs the filter's (iv) and
@@ -80,6 +102,14 @@ def _type1_a3(a0: int, a1: int, a2: int, s: int, m: int) -> list[int]:
     return _walk(a2, a2 + m, *((ai, shifts) for ai in (a2, a1, a0) if s % ai))
 
 
+def _type1_window(a0: int, a1: int, a2: int, s: int, m: int) -> list[int]:
+    """The a3 of ``_type1_a3`` whose quintuple (a0, a1, a2, a3, s + a3) is well formed."""
+    tu = a0 * a1 * a2 // s  # the product of the other two weights
+    if gcd(s, tu) != 1:
+        return []
+    return [a3 for a3 in _type1_a3(a0, a1, a2, s, m) if gcd(a3, tu) == 1]
+
+
 def _class6_a2(index: int, k: int) -> list[int]:
     """The a2 of the class 6 window at (index, k) that can pass (iv), ascending."""
     a0, a1 = index - k, index + k
@@ -91,6 +121,17 @@ def _class6_a2(index: int, k: int) -> list[int]:
         return w, (-k, h - k, 0, h, -a1, -index)
 
     return _walk(a1, a1 + lcm(a0, a1, k), iv(a1), iv(a0))
+
+
+def _class6_window(index: int, k: int) -> list[int]:
+    """The a2 of ``_class6_a2`` whose class 6 quintuple is well formed."""
+    a0, a1 = index - k, index + k
+    g = gcd(a0, a1)
+    return [
+        a2 for a2 in _class6_a2(index, k)
+        if gcd(a2, k) == 1 and a1 % gcd(a0, a2) == 0 and 2 * k % gcd(a1, a2 + k) == 0
+        and gcd(g, a2) == 1 and gcd(g, a2 + k) == 1
+    ]
 
 
 def enumerate_class(class_number: int, index: int) -> list[Series]:
@@ -108,25 +149,19 @@ def enumerate_class(class_number: int, index: int) -> list[Series]:
             a1 = index - a0
             m = lcm(a0, a1)
             for a2 in range(a1, a1 + m):
-                if gcd(a0, a1, a2) != 1:
-                    continue
-                for a3 in _type1_a3(a0, a1, a2, a2, m):
+                for a3 in _type1_window(a0, a1, a2, a2, m):
                     emit(_candidate(a0, a1, a2, a3, a2 + a3), 1)
     elif class_number == 2:
         for a0 in range(1, index // 2 + 1):
             a2 = index - a0
             for a1 in range(a0, index - a0):
-                if gcd(a0, a1, a2) != 1:
-                    continue
-                for a3 in _type1_a3(a0, a1, a2, a1, lcm(a0, a1, a2)):
+                for a3 in _type1_window(a0, a1, a2, a1, lcm(a0, a1, a2)):
                     emit(_candidate(a0, a1, a2, a3, a1 + a3), 2)
     elif class_number == 3:
         for a1 in range(2, index // 2 + 1):
             a2 = index - a1
             for a0 in range(1, a1):
-                if gcd(a0, a1, a2) != 1:
-                    continue
-                for a3 in _type1_a3(a0, a1, a2, a0, lcm(a0, a1, a2)):
+                for a3 in _type1_window(a0, a1, a2, a0, lcm(a0, a1, a2)):
                     emit(_candidate(a0, a1, a2, a3, a0 + a3), 3)
     elif class_number == 4:
         for k in range(max(ceil_div(index, 3), 1), index):
@@ -143,7 +178,7 @@ def enumerate_class(class_number: int, index: int) -> list[Series]:
     elif class_number == 6:
         for k in range(1, index):
             a0, a1 = index - k, index + k
-            for a2 in _class6_a2(index, k):
+            for a2 in _class6_window(index, k):
                 emit(_candidate(a0, a1, a2, a2 + k, a1 + 2 * a2), 6)
     else:
         raise ValueError(f"series class number must be 1..6, got {class_number}")

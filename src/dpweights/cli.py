@@ -126,14 +126,24 @@ def _json_ints(values: tuple[int, ...], pad: str) -> str:
     return _json_block([str(v) for v in values], pad, "[]")
 
 
+def _json_series_template(n_steps: int) -> str:
+    """A %-format string for one series with ``n_steps`` steps, as it sits in
+    a top-level list at depth two: five base ints, five ints per step, the tag."""
+    pad = " " * 6
+    ints = ("%d",) * 5
+    return _json_block([
+        '"base": ' + _json_ints(ints, pad),
+        '"steps": ' + _json_block([_json_ints(ints, pad + "  ")] * n_steps, pad, "[]"),
+        '"class": "%s"',  # the tags need no JSON escapes
+    ], " " * 4, "{}")
+
+
+_SERIES_JSON = {n: _json_series_template(n) for n in (1, 2)}
+
+
 def _json_series(s: Series) -> str:
     """One series as it sits in a top-level list, at depth two."""
-    pad = " " * 6
-    return _json_block([
-        '"base": ' + _json_ints(s.base.astuple(), pad),
-        '"steps": ' + _json_block([_json_ints(step, pad + "  ") for step in s.steps], pad, "[]"),
-        '"class": ' + json.dumps(s.origin.value),
-    ], " " * 4, "{}")
+    return _SERIES_JSON[len(s.steps)] % (*s.base.astuple(), *sum(s.steps, ()), s.origin.value)
 
 
 def _emit_json(c: Classification) -> str:

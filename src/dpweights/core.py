@@ -76,7 +76,7 @@ class SeriesClass(Enum):
     def from_class_number(cls, n: int) -> "SeriesClass":
         if n not in range(1, 7):
             raise ValueError(f"series class number must be 1..6, got {n}")
-        return cls(f"class{n}")
+        return _BY_CLASS_NUMBER[n]
 
     @property
     def class_number(self) -> int | None:
@@ -84,6 +84,9 @@ class SeriesClass(Enum):
         v = self.value
         return int(v[5]) if v.startswith("class") else None
 
+
+# the member for each class number, at its position; 0 holds no class
+_BY_CLASS_NUMBER = (None, *(SeriesClass(f"class{n}") for n in range(1, 7)))
 
 StepVector = tuple[int, int, int, int, int]
 

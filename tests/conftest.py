@@ -1,0 +1,18 @@
+"""Fixtures shared by the test modules."""
+from __future__ import annotations
+
+from functools import cache
+
+import pytest
+
+from dpweights.classify import classify_index
+
+
+@pytest.fixture(scope="session")
+def classified():
+    """``classify_index`` memoised for the whole session.
+
+    Tests that monkeypatch the classifier's collaborators call
+    ``classify_index`` itself, so that they never read or fill this cache.
+    """
+    return cache(classify_index)

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from functools import cache
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 from pathlib import Path
@@ -14,13 +13,21 @@ from golden_tables import expand_golden
 from dpweights.classify import (
     _candidate,
     _class6_a2,
+    _class6_window,
     _type1_a3,
+    _type1_window,
     classify_index,
     enumerate_class,
     expand_classification,
 )
 from dpweights.cli import main
-from dpweights.conditions import _cond_iv_ints, detect_class, is_solid, quasismooth_divisibility
+from dpweights.conditions import (
+    _cond_iv_ints,
+    _well_formed_ints,
+    detect_class,
+    is_solid,
+    quasismooth_divisibility,
+)
 from dpweights.core import Quintuple, Series, SeriesClass, ceil_div
 from dpweights.series import canonical_key, contains, expand, make_series
 from dpweights.tables import instantiate
@@ -42,11 +49,6 @@ EMISSION_COUNTS = {
 
 # indices within and past the golden digests' range, as the residue walk checks
 WIDE_INDICES = [*range(1, 25), 30, 40]
-
-
-@cache
-def classified(index: int):
-    return classify_index(index)
 
 
 def canonical_key_by_walk(series: Series) -> tuple:
@@ -91,7 +93,7 @@ class TestClassifyIndex:
         assert all(len(s.steps) == 1 for s in c.one_param)
 
     @pytest.mark.parametrize("index", WIDE_INDICES)
-    def test_emitted_bases_minimal_and_distinct(self, index):
+    def test_emitted_bases_minimal_and_distinct(self, classified, index):
         # the merge sorts without deduping: no emitted base walks down, and
         # no two series generate the same members
         keys = [canonical_key(s) for s in classified(index).all_series]
@@ -270,6 +272,25 @@ class TestAgainstReference:
                     if _cond_iv_ints(a0, a1, a2, a2 + k, a1 + 2 * a2)
                 ], (index, k)
 
+    def test_sieved_walk_is_exactly_iv_and_well_formed(self):
+        # each sieved walk yields, in order, precisely the window values that
+        # pass (iv) and well-formedness
+        for a0, a1, a2 in combinations_with_replacement(range(1, 13), 3):
+            m = lcm(a0, a1, a2)
+            for s in {a0, a1, a2}:
+                assert _type1_window(a0, a1, a2, s, m) == [
+                    a3 for a3 in range(a2, a2 + m)
+                    if _cond_iv_ints(a0, a1, a2, a3, s + a3) and _well_formed_ints(a0, a1, a2, a3, s + a3)
+                ], (a0, a1, a2, s)
+        for index in range(2, 25):
+            for k in range(1, index):
+                a0, a1 = index - k, index + k
+                assert _class6_window(index, k) == [
+                    a2 for a2 in range(a1, a1 + lcm(a0, a1, k))
+                    if _cond_iv_ints(a0, a1, a2, a2 + k, a1 + 2 * a2)
+                    and _well_formed_ints(a0, a1, a2, a2 + k, a1 + 2 * a2)
+                ], (index, k)
+
     @pytest.mark.parametrize("class_number", range(1, 7))
     def test_residue_walk_matches_window_scan(self, class_number):
         # list equality: the same series in the same order
@@ -277,7 +298,7 @@ class TestAgainstReference:
             assert enumerate_class(class_number, index) == window_enumeration(class_number, index), index
 
     @pytest.mark.parametrize("index", WIDE_INDICES)
-    def test_table_series_filter_matches_full_scan(self, index):
+    def test_table_series_filter_matches_full_scan(self, classified, index):
         # table quintuples are filtered against the table series only; the
         # plain scan checks them against every emitted series
         c = classified(index)

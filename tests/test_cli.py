@@ -111,9 +111,9 @@ class TestClassify:
         assert all(set(s) == {"base", "steps", "class"} for s in payload["two_parameter_series"])
         assert [1, 10, 13, 19, 39] in payload["sporadic"]
 
-    def test_json_writer_matches_json_dumps(self):
+    def test_json_writer_matches_json_dumps(self, classified):
         # the writer joins the indent-2 text itself; json.dumps is its definition
-        cs = [classify_index(index) for index in range(1, 41)]
+        cs = [classified(index) for index in range(1, 41)]
         two_param = cs[1].two_param
         cs += [Classification(3, (), (), ()), Classification(2, two_param, (), ())]
         for c in cs:

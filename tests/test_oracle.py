@@ -131,6 +131,19 @@ class TestBruteForce:
         elapsed = time.monotonic() - t0
         assert elapsed < 60.0, f"oracle sweep I=9..24 at bound {WIDE_BOUND} took {elapsed:.2f}s"
 
+    def test_agrees_with_classifier_to_sporadic_reach(self):
+        # the largest sporadic a3 is 15I - 8 (table row III.2(4)), so at that
+        # bound every sporadic quintuple meets the oracle; about 7 s on a
+        # 2-vCPU machine
+        t0 = time.monotonic()
+        for index in range(8, 14):
+            bound = 15 * index - 8
+            c = classify_index(index)
+            assert max(q.a3 for q in c.sporadic) == bound, index
+            assert brute_force(index, bound) == expand_classification(c, bound), index
+        elapsed = time.monotonic() - t0
+        assert elapsed < 30.0, f"oracle sweep I=8..13 at bound 15I-8 took {elapsed:.2f}s"
+
 
 class TestTypeCoverage:
     def test_every_hit_covered_for_small_indices(self):
