@@ -17,7 +17,8 @@ windows before any candidate is tested:
   d - a_j is 2(a2 + k), 2*a2, a1 + a2 or I + a2.  a2 and a3 divide one of
   them, and w in (a0, a1) divides one iff a2 mod w is -k, h - k, 0, h, -a1
   or -I, with h = w / gcd(w, 2).
-* Classes 4 and 5 have short windows and scan them in full.
+* Classes 4 and 5 are the pair {I - k, 2k} in its two orders, and their short
+  windows are scanned with the integer forms of cond_iv and well-formedness.
 
 Well-formedness then sieves the walked values with a few gcd tests, so most
 of the candidates it would reject are never tried:
@@ -41,17 +42,14 @@ of the candidates it would reject are never tried:
   4 dividing g would divide none of the four d - a_j above, so g divides 2
   and with it a1 + 2*a2 = d.
 
-Each walk yields its values in ascending order, as the full scan did, and the
-sieve only drops values.  The walked candidates still meet the integer forms
-of cond_iv and well-formedness from ``conditions`` before a Quintuple is
-built, and ``is_solid``, which adds the structure types, decides on the
-survivors.  ``make_series`` checks each survivor's class and builds its
-series without re-checking the steps.
+Every window keeps one contract: it yields, in ascending order, exactly the
+values whose quintuple passes (iv) and is well formed.  Only those become a
+Quintuple, ``is_solid`` adds the structure types, and ``make_series`` checks
+each survivor's class and builds its series without re-checking the steps.
 
 Everything emitted is self-checked by the divisibility form's verdict, which
-builds no per-pair detail.  It re-runs the filter's (iv) and
-well-formedness, so what it really guards is (v) and (vi): the claim that a
-solid quintuple is quasi-smooth.
+builds no per-pair detail; beyond the windows it re-verifies (v) and (vi),
+which follow from (i), (ii) and (iv) (see ``conditions``).
 
 The merge sorts the series and does not dedupe them:
 
@@ -71,14 +69,6 @@ from .conditions import _cond_iv_ints, _well_formed_ints, is_solid, quasismooth_
 from .core import Classification, Quintuple, Series, ceil_div
 from .series import canonical_key, contains, expand, make_series
 from .tables import instantiate
-
-
-def _candidate(a0: int, a1: int, a2: int, a3: int, d: int) -> Quintuple | None:
-    """The window candidate as a Quintuple if it is solid, else None."""
-    if not (_cond_iv_ints(a0, a1, a2, a3, d) and _well_formed_ints(a0, a1, a2, a3, d)):
-        return None
-    q = Quintuple(a0, a1, a2, a3, d)
-    return q if is_solid(q) else None
 
 
 def _walk(lo: int, hi: int, *constraints: tuple[int, tuple[int, ...]]) -> list[int]:
@@ -134,15 +124,25 @@ def _class6_window(index: int, k: int) -> list[int]:
     ]
 
 
+def _type2_window(a0: int, a1: int, k: int) -> list[int]:
+    """The a2 of the class 4-5 window at (a0, a1, k) that pass (iv) and are well formed."""
+    return [
+        a2 for a2 in range(a1, a1 + lcm(a0, a1))
+        if _cond_iv_ints(a0, a1, a2, a2 + k, 2 * (a2 + k))
+        and _well_formed_ints(a0, a1, a2, a2 + k, 2 * (a2 + k))
+    ]
+
+
 def enumerate_class(class_number: int, index: int) -> list[Series]:
     """All series of one class at one index, via solid window representatives."""
     if index < 1:
         raise ValueError(f"index must be positive, got {index}")
     found: list[Series] = []
 
-    def emit(q: Quintuple | None, cls: int) -> None:
-        if q is not None:
-            found.append(make_series(cls, q))
+    def emit(a0: int, a1: int, a2: int, a3: int, d: int) -> None:
+        q = Quintuple(a0, a1, a2, a3, d)
+        if is_solid(q):
+            found.append(make_series(class_number, q))
 
     if class_number == 1:
         for a0 in range(1, index // 2 + 1):
@@ -150,44 +150,34 @@ def enumerate_class(class_number: int, index: int) -> list[Series]:
             m = lcm(a0, a1)
             for a2 in range(a1, a1 + m):
                 for a3 in _type1_window(a0, a1, a2, a2, m):
-                    emit(_candidate(a0, a1, a2, a3, a2 + a3), 1)
+                    emit(a0, a1, a2, a3, a2 + a3)
     elif class_number == 2:
         for a0 in range(1, index // 2 + 1):
             a2 = index - a0
             for a1 in range(a0, index - a0):
                 for a3 in _type1_window(a0, a1, a2, a1, lcm(a0, a1, a2)):
-                    emit(_candidate(a0, a1, a2, a3, a1 + a3), 2)
+                    emit(a0, a1, a2, a3, a1 + a3)
     elif class_number == 3:
         for a1 in range(2, index // 2 + 1):
             a2 = index - a1
             for a0 in range(1, a1):
                 for a3 in _type1_window(a0, a1, a2, a0, lcm(a0, a1, a2)):
-                    emit(_candidate(a0, a1, a2, a3, a0 + a3), 3)
-    elif class_number == 4:
-        for k in range(max(ceil_div(index, 3), 1), index):
-            a0, a1 = index - k, 2 * k
-            m = lcm(a0, a1)
-            for a2 in range(a1, a1 + m):
-                emit(_candidate(a0, a1, a2, a2 + k, 2 * (a2 + k)), 4)
-    elif class_number == 5:
-        for k in range(1, ceil_div(index, 3)):
-            a0, a1 = 2 * k, index - k
-            m = lcm(a0, a1)
-            for a2 in range(a1, a1 + m):
-                emit(_candidate(a0, a1, a2, a2 + k, 2 * (a2 + k)), 5)
+                    emit(a0, a1, a2, a3, a0 + a3)
+    elif class_number in (4, 5):
+        # the pair {index - k, 2k}: class 4 has index - k <= 2k, class 5 the rest
+        split = ceil_div(index, 3)
+        for k in range(split, index) if class_number == 4 else range(1, split):
+            a0, a1 = sorted((index - k, 2 * k))
+            for a2 in _type2_window(a0, a1, k):
+                emit(a0, a1, a2, a2 + k, 2 * (a2 + k))
     elif class_number == 6:
         for k in range(1, index):
             a0, a1 = index - k, index + k
             for a2 in _class6_window(index, k):
-                emit(_candidate(a0, a1, a2, a2 + k, a1 + 2 * a2), 6)
+                emit(a0, a1, a2, a2 + k, a1 + 2 * a2)
     else:
         raise ValueError(f"series class number must be 1..6, got {class_number}")
     return found
-
-
-def _assert_valid(q: Quintuple) -> None:
-    if not quasismooth_divisibility(q).accepted:
-        raise RuntimeError(f"emission failed the condition suite: {q}")
 
 
 def classify_index(index: int) -> Classification:
@@ -198,10 +188,9 @@ def classify_index(index: int) -> Classification:
     one_param = sorted(one_param + table_series, key=canonical_key)
     sporadic = [q for q in table_sporadic if not any(contains(s, q) for s in table_series)]
 
-    for s in two_param + one_param:
-        _assert_valid(s.base)
-    for q in sporadic:
-        _assert_valid(q)
+    for q in [s.base for s in two_param + one_param] + sporadic:
+        if not quasismooth_divisibility(q).accepted:
+            raise RuntimeError(f"emission failed the condition suite: {q}")
     return Classification(index, tuple(two_param), tuple(one_param), tuple(sporadic))
 
 

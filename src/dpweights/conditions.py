@@ -14,14 +14,26 @@ Two deliberately independent formulations are implemented:
 Both decide the same predicate; the equivalence is exercised exhaustively in
 the test suite.
 
-One parametric family needs special handling.  Quintuples of the shape
-(7, 2v, 3v, (9v-7)/2) with degree 9v and v odd carry an edge spanned by the
-two even weights whose gcd is 2 while the degree is odd, so no monomial in
-those two variables alone exists and the edge lies inside every member of the
-linear system.  Both cross monomials covering that edge do exist (the general
-member stays quasi-smooth along it), and the classification tables include
-the family.  The pure-pair requirements therefore step aside for exactly this
+One parametric family needs special handling.  In (7, 2v, 3v, (9v-7)/2) of
+degree 9v with v odd, the two even weights have gcd 2 while the degree is
+odd, so no monomial in those two variables alone exists and their edge lies
+inside every member of the linear system.  Both cross monomials covering the
+edge exist, so the general member stays quasi-smooth along it, and the tables
+include the family: the pure-pair requirements step aside for exactly this
 edge; every other condition still applies.
+
+Conditions (v) and (vi) follow from (i), (ii) and (iv).  Take a pair (i, j)
+with other indices k, l; every d - a_m is positive.
+
+* (v): let g = gcd(a_i, a_j) > 1 divide d, and a_i | d - a_m by (iv).  m = k
+  would put g into a_k, against the coprime triple (i, j, k), and so would
+  m = l.  So m is i or j: a pure monomial in x_i, x_j exists.
+* (vi), coprime pair without a pure monomial: (iv) then sends a_i and a_j to
+  d - a_k or d - a_l.  Both to k would give a_i*a_j | d - a_k > 0, so d would
+  exceed the Frobenius number a_i*a_j - a_i - a_j and a pure monomial would
+  exist.  So they go to k and l, and those are the two cross monomials.
+* (vi), other pairs: through (v), and the covered-edge pair by its shape,
+  d - 7 = 2*(9v-7)/2 and d - 3v = 3*2v.  The verdict still re-checks both.
 """
 from __future__ import annotations
 
@@ -117,11 +129,8 @@ def covered_edge_pair(q: Quintuple) -> tuple[int, int] | None:
     """The admissible contained-edge pair, or None.
 
     Recognises the shape (7, 2v, 3v, (9v-7)/2) of degree 9v with v = 3 mod 4
-    and returns the index pair of its two even weights, 2v and (9v-7)/2.
-    That pair has gcd 2 while the degree is odd, so no monomial in the two
-    variables alone reaches degree 9v; both cross monomials covering the
-    contained edge do exist, so the general member stays quasi-smooth along
-    it, and the classification data includes the family.
+    and returns the index pair of its two even weights, 2v and (9v-7)/2,
+    whose pure-pair checks the module docstring waives.
     """
     w, d = q.weights, q.d
     if d % 9 or d % 2 == 0:

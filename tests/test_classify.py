@@ -11,7 +11,6 @@ import pytest
 from golden_tables import expand_golden
 
 from dpweights.classify import (
-    _candidate,
     _class6_a2,
     _class6_window,
     _type1_a3,
@@ -195,6 +194,15 @@ def reference_enumeration(class_number: int, index: int) -> list[Series]:
     return found
 
 
+def window_candidate(a0: int, a1: int, a2: int, a3: int, d: int) -> Quintuple | None:
+    """The window value as a Quintuple if it passes the integer forms of (iv)
+    and well-formedness and is then solid, else None."""
+    if not (_cond_iv_ints(a0, a1, a2, a3, d) and _well_formed_ints(a0, a1, a2, a3, d)):
+        return None
+    q = Quintuple(a0, a1, a2, a3, d)
+    return q if is_solid(q) else None
+
+
 def window_enumeration(class_number: int, index: int) -> list[Series]:
     """Every a3 (a2 in class 6) of each period window through the pre-filtered
     candidate test, in window order: the scan the residue walk replaces."""
@@ -211,36 +219,36 @@ def window_enumeration(class_number: int, index: int) -> list[Series]:
             for a2 in range(a1, a1 + m):
                 if gcd(a0, a1, a2) == 1:
                     for a3 in range(a2, a2 + m):
-                        emit(_candidate(a0, a1, a2, a3, a2 + a3))
+                        emit(window_candidate(a0, a1, a2, a3, a2 + a3))
     elif class_number == 2:
         for a0 in range(1, index // 2 + 1):
             a2 = index - a0
             for a1 in range(a0, index - a0):
                 if gcd(a0, a1, a2) == 1:
                     for a3 in range(a2, a2 + lcm(a0, a1, a2)):
-                        emit(_candidate(a0, a1, a2, a3, a1 + a3))
+                        emit(window_candidate(a0, a1, a2, a3, a1 + a3))
     elif class_number == 3:
         for a1 in range(2, index // 2 + 1):
             a2 = index - a1
             for a0 in range(1, a1):
                 if gcd(a0, a1, a2) == 1:
                     for a3 in range(a2, a2 + lcm(a0, a1, a2)):
-                        emit(_candidate(a0, a1, a2, a3, a0 + a3))
+                        emit(window_candidate(a0, a1, a2, a3, a0 + a3))
     elif class_number == 4:
         for k in range(max(ceil_div(index, 3), 1), index):
             a0, a1 = index - k, 2 * k
             for a2 in range(a1, a1 + lcm(a0, a1)):
-                emit(_candidate(a0, a1, a2, a2 + k, 2 * (a2 + k)))
+                emit(window_candidate(a0, a1, a2, a2 + k, 2 * (a2 + k)))
     elif class_number == 5:
         for k in range(1, ceil_div(index, 3)):
             a0, a1 = 2 * k, index - k
             for a2 in range(a1, a1 + lcm(a0, a1)):
-                emit(_candidate(a0, a1, a2, a2 + k, 2 * (a2 + k)))
+                emit(window_candidate(a0, a1, a2, a2 + k, 2 * (a2 + k)))
     else:
         for k in range(1, index):
             a0, a1 = index - k, index + k
             for a2 in range(a1, a1 + lcm(a0, a1, k)):
-                emit(_candidate(a0, a1, a2, a2 + k, a1 + 2 * a2))
+                emit(window_candidate(a0, a1, a2, a2 + k, a1 + 2 * a2))
     return found
 
 

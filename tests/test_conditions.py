@@ -111,6 +111,23 @@ class TestForms:
         q = Quintuple(*w, d)
         assert quasismooth_monomial(q) == quasismooth_divisibility(q).accepted
 
+    def test_v_and_vi_follow_from_i_ii_iv(self):
+        # the proof in the module docstring, pair by pair: under (iv) a
+        # coprime pair meets (vi), and a pair with gcd > 1 meets (v) once its
+        # (i) holds and both triples holding it are coprime
+        for q in quintuples_up_to(26, 14):
+            if not cond_iv(q):
+                continue
+            r = quasismooth_divisibility(q)
+            wf, triples, vi = dict(r.wf_pairs), dict(r.wf_triples), dict(r.cond_vi)
+            for (i, j), v in r.cond_v:
+                k, l = (x for x in range(4) if x not in (i, j))
+                if wf[i, j] and triples[tuple(sorted((i, j, k)))] and triples[tuple(sorted((i, j, l)))]:
+                    assert v, (q, i, j)
+            for i, j in PAIRS:
+                if gcd(q.weights[i], q.weights[j]) == 1:
+                    assert vi[i, j], (q, i, j)
+
     def test_report_detail(self):
         r = quasismooth_divisibility(Quintuple(1, 1, 2, 2, 5))
         assert not r.accepted

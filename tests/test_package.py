@@ -80,3 +80,20 @@ def test_cli_runs_without_site_packages():
     )
     golden = json.loads((ROOT / "tests" / "golden_classify_sha256.json").read_text())
     assert hashlib.sha256(done.stdout).hexdigest() == golden["3"]
+
+
+def test_src_imports_are_used():
+    # every name a module imports is read there; the package root's
+    # re-exports and the __future__ switch are exempt
+    for path in sorted((ROOT / "src" / "dpweights").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        assert imported <= read, (path.name, sorted(imported - read))
