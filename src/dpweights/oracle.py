@@ -3,12 +3,22 @@
 ``brute_force`` enumerates ordered weight systems directly and keeps those
 passing the monomial-form conditions.  It never consults series classes or
 tables, so its output is a genuinely independent check of the classifier.
-Its pruning is its own: a3 is drawn from the values that give x3 a monomial
-of degree d, and two conditions the monomial form imposes on every quintuple
-are tested first on plain integers, written here with ``math.gcd`` and ``%``
-rather than borrowed from the integer predicates the classifier uses.  What
-the pruning drops, the monomial form would reject, so every hit is still
-decided by that form.
+Its pruning is its own: for each pair (a0, a1) it takes (a2, a3) only from
+the values that give both x2 and x3 a monomial of degree d, and then tests
+two conditions the monomial form imposes on every quintuple on plain
+integers, written here with ``math.gcd`` and ``%`` rather than borrowed from
+the integer predicates the classifier uses.  What the pruning drops, the
+monomial form would reject, so every hit is still decided by that form.
+
+With c = a0 + a1 - I, so that s = d - a3 = a2 + c, three facts about the
+pair (a0, a1) give those (a2, a3); ``brute_force`` proves them:
+
+* Free a3: every a3 gives x3 a monomial exactly when c = 0, a2 = I - a0 or
+  a2 = I - a1.
+* Offsets: otherwise a3 = a2 + delta for delta in {c, a1 - I, a0 - I} with
+  delta >= 0, or, only when a2 <= c, a3 = c or a3 = s/2.
+* a2 on an offset: x2 has a monomial exactly when a2 divides one of the
+  constants c, c + delta, c + delta - a0, c + delta - a1.
 """
 from __future__ import annotations
 
@@ -18,56 +28,93 @@ from .conditions import quasismooth_monomial
 from .core import Quintuple
 
 
+def _a2_a3(index: int, bound: int, a0: int, a1: int) -> list[tuple[int, int]]:
+    """Every (a2, a3) with a1 <= a2 <= a3 <= bound and d > a3 for which both
+    x2 and x3 have a monomial x_i^m x_j of degree d, in ascending order."""
+    c = a0 + a1 - index
+    if c <= 0:
+        # free a3; a2 divides d - a3, d - a0, d - a1 or d - a2, that is
+        # c, c + a3 - a0, c + a3 - a1 or c + a3 modulo a2
+        return [
+            (a2, a3)
+            for a2 in (range(a1, bound + 1) if c == 0 else sorted({index - a1, index - a0}))
+            if a1 <= a2
+            for a3 in range(a2, bound + 1)
+            if not (c % a2 and (c + a3 - a0) % a2 and (c + a3 - a1) % a2 and (c + a3) % a2)
+        ]
+    found: set[tuple[int, int]] = set()
+    for delta in {c, a1 - index, a0 - index}:
+        if delta < 0:
+            continue
+        k1 = c + delta
+        k2 = k1 - a0
+        k3 = k1 - a1
+        found.update(
+            (a2, a2 + delta)
+            for a2 in range(a1, bound - delta + 1)
+            if not (c % a2 and k1 % a2 and k2 % a2 and k3 % a2)
+        )
+    for a2 in range(a1, min(c, bound) + 1):
+        s = a2 + c
+        for a3 in (c, s // 2) if s % 2 == 0 else (c,):
+            if a3 <= bound and not (c % a2 and (c + a3 - a0) % a2 and (c + a3 - a1) % a2 and (c + a3) % a2):
+                found.add((a2, a3))
+    return sorted(found)
+
+
 def brute_force(index: int, bound: int) -> list[Quintuple]:
     """All quintuples of the given index with a3 <= bound, lexicographically.
 
-    Loops a0 <= a1 <= a2 and takes a3 only from the values that give x3 a
-    monomial x3^m x_j of degree d: with s = d - a3, a3 divides some t in
-    (s, s - a0, s - a1, s - a2) (every a3 does when s equals a0, a1 or a2).
-    Each t is below 3*a2, so its only divisors a3 >= a2 are t and t/2.  Each
-    candidate must then pass two conditions on plain integers: every weight
-    triple holding a3 is coprime, and a0, a1 and a2 each divide d - a_j for
-    some weight a_j.  The monomial form applies both to every quintuple and
-    waives neither, so what they skip it would reject; the pair conditions,
-    which it waives for the covered-edge family, are left to it.  Only the
-    survivors become a ``Quintuple`` and see the full monomial check, so
-    every hit is still decided by that form alone.
+    Loops a0 <= a1 and takes (a2, a3) from ``_a2_a3``: those giving x2 and x3
+    a monomial x_i^m x_j of degree d, that is with a2 and a3 each dividing
+    some d - a_j.  Put c = a0 + a1 - I, so that s = d - a3 = a2 + c.  Then a3
+    divides d - a_j exactly when it divides t = d - a3 - a_j, one of
+    (s, s - a0, s - a1, s - a2) = (a2 + c, a2 + a1 - I, a2 + a0 - I, c).
+
+    * Free a3.  Every a3 divides t = 0, and reading the four values off,
+      t = 0 exactly when c = 0, a2 = I - a1 or a2 = I - a0.  Then s is a2,
+      a0 or a1, so d > a3 for every a3 too.
+    * Offsets.  Every other t is a2 + delta for delta in
+      {c, a1 - I, a0 - I}, or t = c.  As a0 + a1 <= 2*a2 and I >= 1,
+      c < 2*a2 and every t < 3*a2, so a divisor a3 >= a2 of t is t or t/2.
+      t = a2 + delta is such an a3 exactly when delta >= 0, and t = c when
+      a2 <= c.  A half t/2 >= a2 needs t >= 2*a2: never for t = c < 2*a2,
+      nor for a2 + (a1 - I) or a2 + (a0 - I), as a1 - I and a0 - I are below
+      a1 <= a2; for t = s exactly when a2 <= c.  So beyond the offsets only
+      c and s/2 are candidates, and only when a2 <= c.  If c < 0, no delta
+      is >= 0 and no a2 <= c, so only the free a3 remain.  If c > 0, then
+      s = a2 + c >= 1, so d > a3 for every candidate.
+    * a2 on an offset.  If a3 = a2 + delta, then d = 2*a2 + c + delta, so
+      d - a3, d - a2, d - a0 and d - a1 are congruent modulo a2 to the
+      constants c, c + delta, c + delta - a0 and c + delta - a1.  So a2
+      divides some d - a_j exactly when it divides one of them, and every a2
+      does when one of them is 0.  The free a3 and the a3 of a2 <= c test a2
+      directly, against the same four values reduced modulo a2: c,
+      c + a3 - a0, c + a3 - a1 and c + a3.
+
+    Each candidate must then pass two conditions on plain integers: every
+    weight triple is coprime, and a0 and a1 each divide d - a_j for some
+    weight a_j (``_a2_a3`` decided that for a2 and a3).  The monomial form
+    applies both to every quintuple and waives neither, so what they skip it
+    would reject; the pair conditions, which it waives for the covered-edge
+    family, are left to it.  Only the survivors become a ``Quintuple`` and see
+    the full monomial check, so every hit is still decided by that form alone.
     """
     if index < 1 or bound < 1:
         raise ValueError(f"index and bound must be positive: index={index} bound={bound}")
     hits: list[Quintuple] = []
     for a0 in range(1, bound + 1):
         for a1 in range(a0, bound + 1):
-            for a2 in range(a1, bound + 1):
-                if gcd(a0, a1, a2) != 1:
-                    continue  # a coprime triple is required no matter what a3 is
-                s = a0 + a1 + a2 - index  # equals d - a3; positive iff d > a3
-                if s < 1:
+            g = gcd(a0, a1)
+            for a2, a3 in _a2_a3(index, bound, a0, a1):
+                if gcd(g, a2) != 1 or gcd(g, a3) != 1 or gcd(a0, a2, a3) != 1 or gcd(a1, a2, a3) != 1:
                     continue
-                if s in (a0, a1, a2):
-                    a3_range: range | list[int] = range(a2, bound + 1)  # x3 * x_j has degree d
+                d = a0 + a1 + a2 + a3 - index
+                for ai in (a0, a1):
+                    if (d - a0) % ai and (d - a1) % ai and (d - a2) % ai and (d - a3) % ai:
+                        break
                 else:
-                    # a3 divides d iff it divides s, and d - a_j iff it divides s - a_j
-                    cands: set[int] = set()
-                    for t in (s, s - a0, s - a1, s - a2):
-                        if a2 <= t <= bound:
-                            cands.add(t)
-                        if t % 2 == 0 and a2 <= t // 2 <= bound:
-                            cands.add(t // 2)
-                    if not cands:
-                        continue
-                    a3_range = sorted(cands)
-                # d - a3 = s, so a_i | s covers a_i by x_i^m x3 for every a3
-                uncovered = [ai for ai in (a0, a1, a2) if s % ai]
-                for a3 in a3_range:
-                    if gcd(a0, a1, a3) != 1 or gcd(a0, a2, a3) != 1 or gcd(a1, a2, a3) != 1:
-                        continue
-                    d = s + a3
-                    for ai in uncovered:
-                        if (d - a0) % ai and (d - a1) % ai and (d - a2) % ai:
-                            break
-                    else:
-                        q = Quintuple(a0, a1, a2, a3, d)
-                        if quasismooth_monomial(q):
-                            hits.append(q)
+                    q = Quintuple(a0, a1, a2, a3, d)
+                    if quasismooth_monomial(q):
+                        hits.append(q)
     return hits

@@ -10,7 +10,7 @@ import pytest
 from dpweights.classify import classify_index, expand_classification
 from dpweights.conditions import detect_class, detect_types, quasismooth_monomial
 from dpweights.core import Quintuple
-from dpweights.oracle import brute_force
+from dpweights.oracle import _a2_a3, brute_force
 from dpweights.series import contains
 from dpweights.tables import instantiate
 
@@ -133,16 +133,36 @@ class TestBruteForce:
 
     def test_agrees_with_classifier_to_sporadic_reach(self):
         # the largest sporadic a3 is 15I - 8 (table row III.2(4)), so at that
-        # bound every sporadic quintuple meets the oracle; about 7 s on a
+        # bound every sporadic quintuple meets the oracle; about 8 s on a
         # 2-vCPU machine
         t0 = time.monotonic()
-        for index in range(8, 14):
+        for index in range(8, 17):
             bound = 15 * index - 8
             c = classify_index(index)
             assert max(q.a3 for q in c.sporadic) == bound, index
             assert brute_force(index, bound) == expand_classification(c, bound), index
         elapsed = time.monotonic() - t0
-        assert elapsed < 30.0, f"oracle sweep I=8..13 at bound 15I-8 took {elapsed:.2f}s"
+        assert elapsed < 30.0, f"oracle sweep I=8..16 at bound 15I-8 took {elapsed:.2f}s"
+
+
+class TestCandidateWalk:
+    @pytest.mark.parametrize("index", range(1, 11))
+    def test_a2_a3_is_exactly_the_monomial_pairs(self, index):
+        # scan every (a2, a3) of every pair at the top bound; a lower bound
+        # must give the same pairs cut at a3 <= bound
+        top = 30
+        for a0 in range(1, top + 1):
+            for a1 in range(a0, top + 1):
+                expected = []
+                for a2 in range(a1, top + 1):
+                    for a3 in range(a2, top + 1):
+                        d = a0 + a1 + a2 + a3 - index
+                        w = (a0, a1, a2, a3)
+                        if d > a3 and all(any((d - aj) % ai == 0 for aj in w) for ai in (a2, a3)):
+                            expected.append((a2, a3))
+                for bound in range(a1, top + 1):
+                    got = _a2_a3(index, bound, a0, a1)
+                    assert got == [p for p in expected if p[1] <= bound], (a0, a1, bound)
 
 
 class TestTypeCoverage:

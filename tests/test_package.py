@@ -97,3 +97,19 @@ def test_src_imports_are_used():
         }
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         assert imported <= read, (path.name, sorted(imported - read))
+
+
+def test_oracle_shares_no_classifier_helper():
+    # the oracle is ground truth only while it borrows nothing from the
+    # classifier: math, the monomial form and the Quintuple record alone
+    tree = ast.parse((ROOT / "src" / "dpweights" / "oracle.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.name, None) for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {("." * node.level + node.module, alias.name) for alias in node.names}
+    assert {name for name in imported if name[0] != "math"} == {
+        (".conditions", "quasismooth_monomial"),
+        (".core", "Quintuple"),
+    }
