@@ -75,7 +75,8 @@ def brute_force(index: int, bound: int) -> list[Quintuple]:
       t = 0 exactly when c = 0, a2 = I - a1 or a2 = I - a0.  Then s is a2,
       a0 or a1, so d > a3 for every a3 too.
     * Offsets.  Every other t is a2 + delta for delta in
-      {c, a1 - I, a0 - I}, or t = c.  As a0 + a1 <= 2*a2 and I >= 1,
+      {c, a1 - I, a0 - I}, or t = c.  A negative t lies above -a3, as
+      d > a_j, so a3 does not divide it.  As a0 + a1 <= 2*a2 and I >= 1,
       c < 2*a2 and every t < 3*a2, so a divisor a3 >= a2 of t is t or t/2.
       t = a2 + delta is such an a3 exactly when delta >= 0, and t = c when
       a2 <= c.  A half t/2 >= a2 needs t >= 2*a2: never for t = c < 2*a2,
