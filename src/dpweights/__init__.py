@@ -19,10 +19,10 @@ from .conditions import (
     quasismooth_monomial,
     well_formed,
 )
-from .core import Classification, Quintuple, Series
+from .core import Classification, Quintuple
 from .obstructions import obstruction_report
 from .oracle import brute_force
-from .series import contains, expand, make_series
+from .series import Series, contains, expand, make_series
 
 __version__ = "0.1.0"
 

@@ -66,8 +66,8 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .conditions import _cond_iv_ints, _well_formed_ints, is_solid, quasismooth_divisibility
-from .core import Classification, Quintuple, Series, ceil_div
-from .series import canonical_key, contains, expand, make_series
+from .core import Classification, Quintuple, ceil_div
+from .series import Series, canonical_key, contains, expand, make_series
 from .tables import instantiate
 
 

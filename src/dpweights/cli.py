@@ -28,10 +28,10 @@ from .conditions import (
     quasismooth_divisibility,
     quasismooth_monomial,
 )
-from .core import Classification, Quintuple, Series
+from .core import Classification, Quintuple
 from .obstructions import obstruction_report
 from .oracle import brute_force
-from .series import contains, expand
+from .series import Series, contains, expand
 
 
 class _Parser(argparse.ArgumentParser):

@@ -1,14 +1,132 @@
-"""Series construction and manipulation.
+"""The series type and its construction, expansion and membership.
 
 A series is a base quintuple plus step vectors; the six series classes fix
 the step shape and the modulus (lcm of the series-defining weights).
 """
 from __future__ import annotations
 
-from math import lcm
+from dataclasses import dataclass
+from enum import Enum
+from math import gcd, lcm
 
 from .conditions import cond_iv, detect_class, well_formed
-from .core import Quintuple, Series, StepVector
+from .core import Quintuple
+
+
+class SeriesClass(Enum):
+    """Origin tag for a series.
+
+    class1..class6 are the six series classes of the classification;
+    tableSeries marks a series that comes from the embedded tables.
+    """
+
+    CLASS1 = "class1"
+    CLASS2 = "class2"
+    CLASS3 = "class3"
+    CLASS4 = "class4"
+    CLASS5 = "class5"
+    CLASS6 = "class6"
+    TABLE_SERIES = "tableSeries"
+
+    @classmethod
+    def from_class_number(cls, n: int) -> "SeriesClass":
+        if n not in range(1, 7):
+            raise ValueError(f"series class number must be 1..6, got {n}")
+        return _BY_CLASS_NUMBER[n]
+
+    @property
+    def class_number(self) -> int | None:
+        """The 1..6 class number, or None for the table-origin tag."""
+        v = self.value
+        return int(v[5]) if v.startswith("class") else None
+
+
+# the member for each class number, at its position; 0 holds no class
+_BY_CLASS_NUMBER = (None, *(SeriesClass(f"class{n}") for n in range(1, 7)))
+
+StepVector = tuple[int, int, int, int, int]
+
+# step shapes per class number, in units of the series modulus m
+STEP_SHAPES: dict[int, tuple[StepVector, ...]] = {
+    1: ((0, 0, 1, 0, 1), (0, 0, 0, 1, 1)),
+    2: ((0, 0, 0, 1, 1),),
+    3: ((0, 0, 0, 1, 1),),
+    4: ((0, 0, 1, 1, 2),),
+    5: ((0, 0, 1, 1, 2),),
+    6: ((0, 0, 1, 1, 2),),
+}
+
+
+@dataclass(frozen=True)
+class Series:
+    """A parametric family of quintuples: base plus one or two step vectors.
+
+    Every step is a 5-vector of non-negative increments on (a0,a1,a2,a3,d)
+    per unit of its parameter.  The degree entry always equals the sum of the
+    weight entries, so it is positive and all members share the base's index.
+    Two steps are linearly independent, so each member has exactly one
+    parameter pair.  A class-tagged series is fixed by its base: the base is
+    a solid member of the class, and the steps are, in some order, the ones
+    ``make_series`` gives it.  The constructor, ``from_dict`` and
+    ``make_series`` all apply that one rule, ``_class_steps``.
+    """
+
+    origin: SeriesClass
+    base: Quintuple
+    steps: tuple[StepVector, ...]
+
+    def __post_init__(self) -> None:
+        n = self.origin.class_number
+        if n is not None:
+            expected = _class_steps(n, self.base)
+            if sorted(self.steps) != sorted(expected):
+                raise ValueError(f"class-{n} series through {self.base} has steps {list(expected)}, got {list(self.steps)}")
+            return
+        if not 1 <= len(self.steps) <= 2:
+            raise ValueError(f"a series has one or two step vectors, got {len(self.steps)}")
+        for step in self.steps:
+            if len(step) != 5 or any(x < 0 for x in step):
+                raise ValueError(f"malformed step vector {step}")
+            if sum(step[:4]) != step[4] or step[4] == 0:
+                raise ValueError(f"degree entry of {step} must equal the sum of its weight entries")
+        if len(self.steps) == 2:
+            # degree entries are positive: dependent exactly when s*t[4] == t*s[4]
+            s, t = self.steps
+            if all(s[i] * t[4] == t[i] * s[4] for i in range(4)):
+                raise ValueError(f"series steps {s} and {t} are linearly dependent")
+
+    @property
+    def modulus(self) -> int:
+        """Common granularity of the weight increments."""
+        return gcd(*(x for step in self.steps for x in step[:4]))
+
+    def member(self, *params: int) -> Quintuple:
+        """The member at the given non-negative parameters (must be ordered)."""
+        if len(params) != len(self.steps):
+            raise ValueError(f"series takes {len(self.steps)} parameters, got {len(params)}")
+        if any(p < 0 for p in params):
+            raise ValueError(f"parameters must be non-negative: {params}")
+        vals = list(self.base.astuple())
+        for p, step in zip(params, self.steps):
+            for i in range(5):
+                vals[i] += p * step[i]
+        return Quintuple(*vals)
+
+    def to_dict(self) -> dict:
+        """Wire format: {"base": [...], "steps": [[...], ...], "class": tag}."""
+        return {
+            "base": list(self.base.astuple()),
+            "steps": [list(s) for s in self.steps],
+            "class": self.origin.value,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Series":
+        base = Quintuple(*data["base"])
+        steps = tuple(tuple(s) for s in data["steps"])
+        if any(type(x) is not int for step in steps for x in step):
+            raise ValueError(f"step entries must be integers: {data['steps']}")
+        return cls(SeriesClass(data["class"]), base, steps)
 
 
 def defining_weights(class_number: int, rep: Quintuple) -> tuple[int, ...]:
@@ -22,20 +140,35 @@ def defining_weights(class_number: int, rep: Quintuple) -> tuple[int, ...]:
     raise ValueError(f"series class number must be 1..6, got {class_number}")
 
 
-def make_series(class_number: int, rep: Quintuple) -> Series:
-    """Build the series of the given class through a solid representative.
+def _class_steps(class_number: int, rep: Quintuple) -> tuple[StepVector, ...]:
+    """The steps of the class series through ``rep``: the rule for a class series.
 
-    Each class's defining relation is a type I, II or III relation, so a
-    quintuple in a class always has a type, and solidity reduces to (iv) and
-    well-formedness.  The input is checked once; the steps are the modulus,
-    the lcm of the class-defining weights, times the class's step shapes, and
-    are built without re-checking them.
+    ``rep`` must lie in the class and be solid.  Each class's defining
+    relation is a type I, II or III relation, so a quintuple in a class always
+    has a type, and solidity reduces to (iv) and well-formedness.  The steps
+    are the modulus, the lcm of the class-defining weights, times the class's
+    ``STEP_SHAPES``.
     """
     if detect_class(rep) != class_number:
         raise ValueError(f"{rep} does not lie in series class {class_number}")
     if not (cond_iv(rep) and well_formed(rep)):
         raise ValueError(f"series representative {rep} is not solid")
-    return Series._of_class(class_number, rep, lcm(*defining_weights(class_number, rep)))
+    m = lcm(*defining_weights(class_number, rep))
+    return tuple([(m * a, m * b, m * c, m * e, m * f) for a, b, c, e, f in STEP_SHAPES[class_number]])
+
+
+def make_series(class_number: int, rep: Quintuple) -> Series:
+    """Build the series of the given class through a solid representative.
+
+    ``_class_steps`` checks the input once and gives the steps, which meet
+    every rule of ``Series`` by construction, so ``__post_init__`` is skipped.
+    """
+    steps = _class_steps(class_number, rep)
+    series = object.__new__(Series)
+    object.__setattr__(series, "origin", SeriesClass.from_class_number(class_number))
+    object.__setattr__(series, "base", rep)
+    object.__setattr__(series, "steps", steps)
+    return series
 
 
 def _shifted(base: tuple[int, ...], step: StepVector, count: int) -> tuple[int, ...]:

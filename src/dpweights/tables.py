@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Quintuple, Series, SeriesClass
+from .core import Quintuple
+from .series import Series, SeriesClass
 
 
 @dataclass(frozen=True)

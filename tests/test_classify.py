@@ -27,8 +27,8 @@ from dpweights.conditions import (
     is_solid,
     quasismooth_divisibility,
 )
-from dpweights.core import Quintuple, Series, SeriesClass, ceil_div
-from dpweights.series import canonical_key, contains, expand, make_series
+from dpweights.core import Quintuple, ceil_div
+from dpweights.series import Series, SeriesClass, canonical_key, contains, expand, make_series
 from dpweights.tables import instantiate
 
 # sha256 of `classify --index I --format json` for I = 1..30, recorded before

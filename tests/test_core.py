@@ -5,12 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpweights.core import (
-    Quintuple,
-    Series,
-    SeriesClass,
-    ceil_div,
-)
+from dpweights.core import Quintuple, ceil_div
+from dpweights.series import Series, SeriesClass
 from dpweights.tables import TableRow
 
 
@@ -92,9 +88,18 @@ class TestSeries:
             (((0, 0, 2, 0, 2),), SeriesClass.CLASS2),  # class 2 moves a3
             (((0, 0, 2, 0, 2), (0, 0, 0, 2, 2)), SeriesClass.CLASS2),  # the class-1 steps
             (((0, 0, 0, 2, 2),), SeriesClass.CLASS1),  # class 1 has two steps
+            (((0, 0, 0, 2, 2),), SeriesClass.CLASS2),  # the base lies in class 1
+            (((0, 0, 4, 0, 4), (0, 0, 0, 4, 4)), SeriesClass.CLASS1),  # modulus 4, not lcm(1, 2)
         ]:
             with pytest.raises(ValueError):
                 self.make(steps, origin)
+        # the base of a class series is a solid member of its class
+        for base, steps in [
+            (Quintuple(1, 1, 2, 2, 5), ((0, 0, 1, 0, 1), (0, 0, 0, 1, 1))),  # neither in class 1 nor well formed
+            (Quintuple(1, 2, 2, 4, 6), ((0, 0, 2, 0, 2), (0, 0, 0, 2, 2))),  # in class 1, not well formed
+        ]:
+            with pytest.raises(ValueError):
+                Series(SeriesClass.CLASS1, base, steps)
         # in either order
         assert self.make(((0, 0, 0, 2, 2), (0, 0, 2, 0, 2)), SeriesClass.CLASS1).modulus == 2
 

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import io
 import json
 import re
+import shlex
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import dpweights
+from dpweights.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,11 +41,11 @@ DOCUMENTED = [
 ]
 
 
-def quick_start() -> str:
-    """The Python block of the README's Quick start section."""
+def quick_start(language: str = "python") -> str:
+    """The first block in ``language`` of the README's Quick start section."""
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Quick start", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
 
 
 def test_root_exports_the_documented_names():
@@ -66,6 +70,16 @@ def test_readme_quick_start_holds_as_written():
     assert claims == 2
     assert (len(ns["c"].two_param), len(ns["c"].one_param), len(ns["c"].sporadic)) == (1, 3, 13)
     assert ns["report"].accepted is True
+
+
+def test_readme_cli_block_runs():
+    # every command line of the Quick start shell block exits 0
+    lines = [line for line in quick_start("sh").splitlines() if line.startswith("dpweights ")]
+    assert len(lines) == 9
+    for line in lines:
+        with redirect_stdout(io.StringIO()) as out:
+            assert main(shlex.split(line, comments=True)[1:]) == 0, line
+        assert out.getvalue(), line
 
 
 def test_cli_runs_without_site_packages():
@@ -113,3 +127,28 @@ def test_oracle_shares_no_classifier_helper():
         (".conditions", "quasismooth_monomial"),
         (".core", "Quintuple"),
     }
+
+
+def test_src_imports_at_module_level_only():
+    # no function imports a module lazily, and core.py, which the other
+    # modules build on, imports nothing from the package at run time: its
+    # only package import, of Series for annotations, is under TYPE_CHECKING
+    for path in sorted((ROOT / "src" / "dpweights").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                lazy = [n.lineno for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))]
+                assert not lazy, (path.name, fn.name, lazy)
+    tree = ast.parse((ROOT / "src" / "dpweights" / "core.py").read_text())
+    runtime = [
+        node for node in tree.body
+        if not (isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING")
+    ]
+    package = [
+        node.lineno
+        for top in runtime
+        for node in ast.walk(top)
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("dpweights"))
+        or isinstance(node, ast.Import) and any(alias.name.startswith("dpweights") for alias in node.names)
+    ]
+    assert not package, package

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from dpweights.classify import classify_index, expand_classification
 from dpweights.conditions import quasismooth_divisibility
-from dpweights.core import Quintuple, Series, SeriesClass
-from dpweights.series import canonical_key, contains, defining_weights, expand, make_series
+from dpweights.core import Quintuple
+from dpweights.series import Series, SeriesClass, canonical_key, contains, defining_weights, expand, make_series
 
 
 def contains_by_search(series, q) -> bool:
