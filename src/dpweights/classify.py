@@ -44,7 +44,8 @@ of the candidates it would reject are never tried:
 
 Every window keeps one contract: it yields, in ascending order, exactly the
 values whose quintuple passes (iv) and is well formed.  Only those become a
-Quintuple, ``is_solid`` adds the structure types, and ``make_series`` checks
+Quintuple, ``is_solid`` adds the class, which on that ground is the same as
+a structure type (Lemma B in ``conditions``), and ``make_series`` checks
 each survivor's class and builds its series without re-checking the steps.
 
 Everything emitted is self-checked by the divisibility form's verdict, which
@@ -58,7 +59,8 @@ The merge sorts the series and does not dedupe them:
   so no two class series share a base.  Table series exist only at indices 1,
   2, 4 and 6, and the tests cover those indices.
 * Class steps keep the class's defining relation, so every member of a class
-  series has its class's type, while no table quintuple has a type.  Table
+  series lies in its class, while no table quintuple has a type and so none
+  lies in a class (every class relation is a type relation, Lemma B).  Table
   quintuples are therefore filtered against the table series only.
 """
 from __future__ import annotations

@@ -34,6 +34,55 @@ with other indices k, l; every d - a_m is positive.
   exist.  So they go to k and l, and those are the two cross monomials.
 * (vi), other pairs: through (v), and the covered-edge pair by its shape,
   d - 7 = 2*(9v-7)/2 and d - 3v = 3*2v.  The verdict still re-checks both.
+
+Lemma B: on a quintuple that passes (iv) and is well formed, ``detect_types``
+is non-empty exactly when ``detect_class`` is not None.  So a solid
+quintuple, one that passes (iv), is well formed and has a type, is one that
+passes (iv), is well formed and lies in a class, and ``is_solid`` decides by
+the class.  Write I for the index and, for type II at (i, j), h = a_j/2, so
+I = a_i + h.
+
+* Class gives type, on every quintuple: classes 1-3 are type I on a pair of
+  a0..a2, class 4 is type II at (i, j) = (0, 1), class 5 at (1, 0), and
+  class 6 is type III.
+* Type gives class.  Type III is class 6.  Type I on a pair of a0..a2 is
+  class 1, 2 or 3 through the weight order; type II at (0, 1) is class 4,
+  and at (1, 0) class 5, or class 4 when a0 = a1.  Call these direct.  For
+  the rest, (iv) on a3 narrows d: a3 divides some d - a_m, which lies in
+  (0, 3*a3) since d > a3 and I >= 1, so d - a_m is a3 or 2*a3.  So d is
+  a3 + a_m or 2*a3 + a_m with m < 3, 2*a3 or 3*a3.
+* d = a3 + a_m: I is the sum of the other two of a0..a2, direct.
+* d = 3*a3: I = a0 - (a3 - a1) - (a3 - a2) <= a0, while every type puts I
+  above a0.
+* d = 2*a3 + a_m: I = a_p + a_q - a3 <= min(a_p, a_q) <= a1 with
+  {m, p, q} = {0, 1, 2}.  So no type I, and type II needs a_i < I, so i = m
+  and a_m < min(a_p, a_q), that is i = m = 0, d = 2*a3 + a0 and
+  I = a1 + a2 - a3; j is 1 (direct), 2 or 3.
+  - j = 2: a3 = a1 + h - a0, so a0 <= h and 2h <= a3 < 3h.  Then a2 = 2h
+    divides none of the d - a_x, which are 2*a3, a3 + h, 2*a3 + a0 - 2h and
+    a3 + a0, unless a3 = a2: (iv) fails.
+  - j = 3: a1 + a2 = a0 + 3h with a2 <= a3 = 2h, so a0 <= h and a2 > 3h/2.
+    If a2 < a3, a2 divides none of 4h, h + a2 and 2h + a0, and dividing
+    4h + a0 - a2 needs 3*a2 = 4h + a0, which makes a1 > a2: (iv) fails.
+  - Both leave a2 = a3 = 2h, and gcd(a2, a3) = 2h does not divide
+    d = 4h + a0: not well formed.
+* d = 2*a3: I = a0 + a1 + a2 - a3.  Type I with a3 makes the other two
+  weights sum to 2*a3, so a2 = a3 and I = a0 + a1, direct.  Type II bounds
+  2*a3 <= 3*a2: a3 = h + a_k when 3 is not in (i, j), with k the third index
+  below 3, and otherwise the two weights outside (i, j), both at most a2,
+  sum to 3*a3/2 (j = 3) or 2*a3 - h (i = 3).  By (iv), a2 divides a3,
+  2*a3 - a2 or some 2*a3 - a_m (m < 2), which lie in [a2, 3*a2).  So:
+  - a3 = a2, and I = a0 + a1, direct;
+  - or a_m = 2*(a3 - a2) for some m < 2, and I = a_n + a_m/2 with
+    {m, n} = {0, 1}, direct;
+  - or 2*a3 = 3*a2, which leaves only a3 = h + a_k with a_j = a_k = a2, so
+    a1 = a2 and I = a0 + a1/2, direct.
+
+With Lemma B, ``is_valid`` equals ``is_solid``.  A solid quintuple is
+accepted through (v) and (vi) above.  The only accepted quintuples that are
+not well formed are the covered-edge family, which has no type: there
+2I = v + 7, while every type gives 2I >= a_i + a_j for two weights, and any
+two of its weights add up to at least 7 + 2v.
 """
 from __future__ import annotations
 
@@ -282,9 +331,9 @@ def detect_types(q: Quintuple) -> frozenset[str]:
             if i != j and w[j] % 2 == 0 and 2 * w[i] + w[j] == 2 * idx:
                 found.add("II")
                 break
-    # (a0, a1, a, a+k) with a1 - a0 = 2k, a3 - a2 = k for some 1 <= k < index
+    # (a0, a1, a, a+k) with a1 - a0 = 2k, a3 - a2 = k for some k >= 1
     k = idx - q.a0
-    if 1 <= k <= idx - 1 and q.a1 == idx + k and q.a3 - q.a2 == k:
+    if k >= 1 and q.a1 == idx + k and q.a3 - q.a2 == k:
         found.add("III")
     return frozenset(found)
 
@@ -292,32 +341,34 @@ def detect_types(q: Quintuple) -> frozenset[str]:
 def detect_class(q: Quintuple) -> int | None:
     """The series class (1..6) the quintuple belongs to, or None.
 
-    The six classes partition the type-I..III quintuples by which weights
-    realise the defining relation; the guards make them mutually exclusive.
+    Each class is its defining relation plus, where an earlier class could
+    also hold, the guard that sets it apart, so the classes are mutually
+    exclusive.  By Lemma B (module docstring) they cover the typed
+    quintuples that pass (iv) and are well formed.
     """
     idx = q.index
     a0, a1, a2, a3 = q.weights
     if a0 + a1 == idx:
         return 1
-    if a0 + a2 == idx and idx > a0 + a1:
+    if a0 + a2 == idx and a2 > a1:
         return 2
-    if a1 + a2 == idx and idx > a0 + a2:
+    if a1 + a2 == idx and a1 > a0:
         return 3
-    if a1 % 2 == 0 and a0 + a1 // 2 == idx and idx > a0:
+    if a1 % 2 == 0 and a0 + a1 // 2 == idx:
         return 4
-    if a0 % 2 == 0 and a0 // 2 + a1 == idx and idx > a1 and 2 * idx > 2 * a0 + a1:
+    if a0 % 2 == 0 and a0 // 2 + a1 == idx and a1 > a0:
         return 5
     k = idx - a0
-    if 1 <= k <= idx - 1 and a1 == idx + k and a3 - a2 == k and a2 >= a1:
+    if k >= 1 and a1 == idx + k and a3 - a2 == k:
         return 6
     return None
 
 
 def is_solid(q: Quintuple) -> bool:
-    """Well-formed, pure-power covered, and of some type."""
-    return cond_iv(q) and well_formed(q) and bool(detect_types(q))
+    """Pure-power covered, well formed and in a series class (Lemma B)."""
+    return cond_iv(q) and well_formed(q) and detect_class(q) is not None
 
 
 def is_valid(q: Quintuple) -> bool:
-    """Accepted by the full divisibility-form suite and of some type."""
-    return bool(detect_types(q)) and quasismooth_divisibility(q).accepted
+    """In a series class and accepted by the full divisibility-form suite."""
+    return detect_class(q) is not None and quasismooth_divisibility(q).accepted

@@ -61,9 +61,10 @@ STEP_SHAPES: dict[int, tuple[StepVector, ...]] = {
 class Series:
     """A parametric family of quintuples: base plus one or two step vectors.
 
-    Every step is a 5-vector of non-negative increments on (a0,a1,a2,a3,d)
-    per unit of its parameter.  The degree entry always equals the sum of the
-    weight entries, so it is positive and all members share the base's index.
+    Every step is a 5-vector of non-negative ``int`` increments on
+    (a0,a1,a2,a3,d) per unit of its parameter.  The degree entry always
+    equals the sum of the weight entries, so it is positive and all members
+    share the base's index.
     Two steps are linearly independent, so each member has exactly one
     parameter pair.  A class-tagged series is fixed by its base: the base is
     a solid member of the class, and the steps are, in some order, the ones
@@ -76,6 +77,9 @@ class Series:
     steps: tuple[StepVector, ...]
 
     def __post_init__(self) -> None:
+        # exact type test: a bool entry would reach the wire format as true or false
+        if any(type(x) is not int for step in self.steps for x in step):
+            raise ValueError(f"step entries must be integers: {[list(s) for s in self.steps]}")
         n = self.origin.class_number
         if n is not None:
             expected = _class_steps(n, self.base)
@@ -124,8 +128,6 @@ class Series:
     def from_dict(cls, data: dict) -> "Series":
         base = Quintuple(*data["base"])
         steps = tuple(tuple(s) for s in data["steps"])
-        if any(type(x) is not int for step in steps for x in step):
-            raise ValueError(f"step entries must be integers: {data['steps']}")
         return cls(SeriesClass(data["class"]), base, steps)
 
 
@@ -143,9 +145,8 @@ def defining_weights(class_number: int, rep: Quintuple) -> tuple[int, ...]:
 def _class_steps(class_number: int, rep: Quintuple) -> tuple[StepVector, ...]:
     """The steps of the class series through ``rep``: the rule for a class series.
 
-    ``rep`` must lie in the class and be solid.  Each class's defining
-    relation is a type I, II or III relation, so a quintuple in a class always
-    has a type, and solidity reduces to (iv) and well-formedness.  The steps
+    ``rep`` must lie in the class and be solid, which for a quintuple in a
+    class is (iv) and well-formedness (Lemma B in ``conditions``).  The steps
     are the modulus, the lcm of the class-defining weights, times the class's
     ``STEP_SHAPES``.
     """
@@ -160,8 +161,10 @@ def _class_steps(class_number: int, rep: Quintuple) -> tuple[StepVector, ...]:
 def make_series(class_number: int, rep: Quintuple) -> Series:
     """Build the series of the given class through a solid representative.
 
-    ``_class_steps`` checks the input once and gives the steps, which meet
-    every rule of ``Series`` by construction, so ``__post_init__`` is skipped.
+    By Lemma B (``conditions``) that is a member of the class that passes
+    (iv) and is well formed.  ``_class_steps`` checks the input once and
+    gives the steps, which meet every rule of ``Series`` by construction, so
+    ``__post_init__`` is skipped.
     """
     steps = _class_steps(class_number, rep)
     series = object.__new__(Series)

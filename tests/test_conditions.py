@@ -1,13 +1,14 @@
-"""Condition suite: both forms, structure types, class guards, edge waiver."""
+"""Condition suite: both forms, structure types, class guards and lemmas, edge waiver."""
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpweights.classify import enumerate_class
 from dpweights.conditions import (
     PAIRS,
     TRIPLES,
@@ -23,7 +24,7 @@ from dpweights.conditions import (
     well_formed,
 )
 from dpweights.core import Quintuple
-from dpweights.series import make_series
+from dpweights.series import STEP_SHAPES, contains, defining_weights, make_series
 
 
 def reaches_by_search(ai: int, aj: int, r: int) -> bool:
@@ -162,6 +163,18 @@ class TestCoveredEdge:
         assert r.waived_pair == (0, 3)
         assert gcd(6, 10) == 2 and 27 % 2 == 1  # the literal checks would fail
 
+    def test_family_has_no_type_or_class(self):
+        # so the waiver never admits a typed quintuple, and is_valid, which
+        # needs a class, rejects every member that only the waiver accepts
+        accepted = 0
+        for v in range(3, 404, 4):
+            q = Quintuple(*sorted((7, 2 * v, 3 * v, (9 * v - 7) // 2)), 9 * v)
+            assert covered_edge_pair(q) is not None and not well_formed(q), v
+            assert detect_types(q) == frozenset() and detect_class(q) is None, v
+            accepted += quasismooth_divisibility(q).accepted
+            assert not is_valid(q) and not is_solid(q), v
+        assert accepted > 80  # every v prime to 7
+
     def test_raw_flags_not_waived(self):
         # the pair kernel reports the literal condition for the waived pair
         # (6, 10) at d = 27; both edge cross monomials exist
@@ -226,9 +239,67 @@ class TestPieces:
 
     def test_solid_implies_valid_and_class(self):
         for q in quintuples_up_to(24, 8):
-            if is_solid(q):
-                assert is_valid(q), q
+            solid = is_solid(q)
+            assert is_valid(q) == solid, q
+            if solid:
                 assert detect_class(q) is not None, q
+
+    def test_solid_by_class_matches_solid_by_type(self):
+        # Lemma B (module docstring): on (iv) and well-formed ground a type
+        # and a class come together, so is_solid may ask detect_class alone
+        def solid_by_type(q: Quintuple) -> bool:
+            return cond_iv(q) and well_formed(q) and bool(detect_types(q))
+
+        # typed and classless, each failing one of the two conditions
+        fails_iv, fails_wf = Quintuple(1, 1, 3, 4, 6), Quintuple(1, 3, 4, 4, 9)
+        for q in (fails_iv, fails_wf):
+            assert detect_types(q) == {"II"} and detect_class(q) is None, q
+        assert well_formed(fails_iv) and not cond_iv(fails_iv)
+        assert cond_iv(fails_wf) and not well_formed(fails_wf)
+        solids = 0
+        for q in [fails_iv, fails_wf, *quintuples_up_to(20, 16)]:
+            assert is_solid(q) == solid_by_type(q), q
+            solids += is_solid(q)
+        assert solids > 1000
+
+    def test_class_steps_keep_class_and_solidity(self):
+        # step invariance, not yet proved: subtracting a class step while the
+        # weights stay ordered keeps the class and solidity, and reducing as
+        # far as the steps go lands on the base of the emitted series holding q
+        def steps(n: int, q: Quintuple) -> list[tuple[int, ...]]:
+            m = lcm(*defining_weights(n, q))
+            return [tuple(m * x for x in shape) for shape in STEP_SHAPES[n]]
+
+        def minus(q: Quintuple, step: tuple[int, ...]) -> Quintuple | None:
+            t = tuple(x - y for x, y in zip(q.astuple(), step))
+            return Quintuple(*t) if 1 <= t[0] <= t[1] <= t[2] <= t[3] else None
+
+        def reduce(n: int, q: Quintuple) -> Quintuple:
+            shifted = True
+            while shifted:
+                shifted = False
+                for step in steps(n, q):
+                    below = minus(q, step)
+                    if below is not None:
+                        q, shifted = below, True
+            return q
+
+        bases = {}  # (class, index) -> {base: series}
+        reduced = 0
+        for q in quintuples_up_to(20, 8):
+            if not is_solid(q):
+                continue
+            n = detect_class(q)
+            for step in steps(n, q):
+                below = minus(q, step)
+                if below is not None:
+                    assert detect_class(below) == n and is_solid(below), (q, step)
+                    reduced += 1
+            if (n, q.index) not in bases:
+                bases[n, q.index] = {s.base: s for s in enumerate_class(n, q.index)}
+            series = bases[n, q.index].get(reduce(n, q))
+            assert series is not None and contains(series, q), q
+        assert reduced > 100
 
     def test_valid_examples(self):
         assert is_valid(Quintuple(2, 4, 5, 7, 14))

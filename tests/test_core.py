@@ -110,6 +110,20 @@ class TestSeries:
         with pytest.raises(ValueError):
             self.make(((0, 0, 2, 4, 6),), origin=SeriesClass.CLASS1)
 
+    def test_rejects_non_int_step_entries(self):
+        # bool is an int subclass, but to_dict would write it as JSON true or
+        # false, which from_dict rejects
+        for steps in [((0, 0, True, 0, True),), ((0, 0, 1.0, 0, 1),)]:
+            with pytest.raises(ValueError):
+                Series(SeriesClass.TABLE_SERIES, Quintuple(1, 2, 3, 5, 8), steps)
+        with pytest.raises(ValueError):
+            Series(
+                SeriesClass.CLASS1,
+                Quintuple(1, 1, 1, 1, 2),
+                ((False, False, True, False, True), (False, False, False, True, True)),
+            )
+        assert Series(SeriesClass.CLASS1, Quintuple(1, 1, 1, 1, 2), ((0, 0, 1, 0, 1), (0, 0, 0, 1, 1)))
+
     def test_dict_roundtrip(self):
         s = self.make(((0, 0, 2, 0, 2), (0, 0, 0, 2, 2)), origin=SeriesClass.CLASS1)
         assert Series.from_dict(s.to_dict()) == s
