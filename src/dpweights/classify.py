@@ -2,17 +2,24 @@
 
 Every series class confines its representatives to one period window of the
 modulus, so finitely many candidates cover all series of a given index; each
-candidate is kept iff it is solid.
+candidate is kept iff it is solid.  ``enumerate_class`` has one branch per
+structure type: type I for classes 1-3, type II for classes 4-5 and type III
+for class 6.
+
+Classes 1-3 are the pair {p, q} with p + q = I and p <= q plus a third weight
+s of a0..a2, with d = s + a3.  Where s falls sets the class: s < p is class 3,
+p <= s < q class 2 and s >= q class 1, so s is a0, a1 and a2 respectively.
+Class 1 has modulus lcm(p, q), which leaves s one period to walk; classes 2
+and 3 have modulus lcm(p, q, s).
 
 Condition (iv), that every weight a_i divides d - a_j for some j, narrows the
 windows before any candidate is tested:
 
-* In classes 1-3 the degree is d = s + a3 with s = a2, a1, a0 respectively.
-  Then a3 divides d - s and s divides d - a3, and any other weight a_i is
-  covered iff it divides s or a3 = a_j - s (mod a_i) for some j in 0..2: at
-  most three residues per weight.  The walk strides through the residue
-  classes of the largest weight not dividing s and filters by the other; when
-  every weight divides s, a3 is free and the stride is 1.
+* In classes 1-3, a3 divides d - s and s divides d - a3, and any other
+  weight a_i is covered iff it divides s or a3 = a_j - s (mod a_i) for some
+  j in 0..2: at most three residues per weight.  The walk strides through
+  the residue classes of the largest weight not dividing s and filters by
+  the other; when every weight divides s, a3 is free and the stride is 1.
 * In class 6, (a0, a1, a3) = (I - k, I + k, a2 + k) and d = a1 + 2*a2, so
   d - a_j is 2(a2 + k), 2*a2, a1 + a2 or I + a2.  a2 and a3 divide one of
   them, and w in (a0, a1) divides one iff a2 mod w is -k, h - k, 0, h, -a1
@@ -146,25 +153,16 @@ def enumerate_class(class_number: int, index: int) -> list[Series]:
         if is_solid(q):
             found.append(make_series(class_number, q))
 
-    if class_number == 1:
-        for a0 in range(1, index // 2 + 1):
-            a1 = index - a0
-            m = lcm(a0, a1)
-            for a2 in range(a1, a1 + m):
-                for a3 in _type1_window(a0, a1, a2, a2, m):
-                    emit(a0, a1, a2, a3, a2 + a3)
-    elif class_number == 2:
-        for a0 in range(1, index // 2 + 1):
-            a2 = index - a0
-            for a1 in range(a0, index - a0):
-                for a3 in _type1_window(a0, a1, a2, a1, lcm(a0, a1, a2)):
-                    emit(a0, a1, a2, a3, a1 + a3)
-    elif class_number == 3:
-        for a1 in range(2, index // 2 + 1):
-            a2 = index - a1
-            for a0 in range(1, a1):
-                for a3 in _type1_window(a0, a1, a2, a0, lcm(a0, a1, a2)):
-                    emit(a0, a1, a2, a3, a0 + a3)
+    if class_number in (1, 2, 3):
+        # where s falls among p <= q sets the class; class 1 walks s over one
+        # period of its modulus lcm(p, q) (module docstring)
+        for p in range(1, index // 2 + 1):
+            q = index - p
+            m = lcm(p, q)
+            for s in {1: range(q, q + m), 2: range(p, q), 3: range(1, p)}[class_number]:
+                a0, a1, a2 = sorted((p, q, s))
+                for a3 in _type1_window(a0, a1, a2, s, m if class_number == 1 else lcm(m, s)):
+                    emit(a0, a1, a2, a3, s + a3)
     elif class_number in (4, 5):
         # the pair {index - k, 2k}: class 4 has index - k <= 2k, class 5 the rest
         split = ceil_div(index, 3)

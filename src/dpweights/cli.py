@@ -62,15 +62,11 @@ def _linear(const: int, *terms: tuple[int, str]) -> str:
     return "+".join(parts)
 
 
-def _series_exprs(s: Series) -> tuple[list[str], str]:
-    """Weight and degree expressions of a series in x (and y for two steps)."""
-    names = ("x", "y")
-    weights = [
-        _linear(s.base.astuple()[i], *((step[i], names[p]) for p, step in enumerate(s.steps)))
-        for i in range(4)
-    ]
-    degree = _linear(s.base.d, *((step[4], names[p]) for p, step in enumerate(s.steps)))
-    return weights, degree
+def _series_exprs(s: Series) -> tuple[str, str]:
+    """The "(w0,w1,w2,w3)" weights and the degree of a series in x (and y)."""
+    base = s.base.astuple()
+    exprs = [_linear(base[i], *((step[i], name) for name, step in zip("xy", s.steps))) for i in range(5)]
+    return f"({','.join(exprs[:4])})", exprs[4]
 
 
 def _series_text(s: Series) -> str:
@@ -89,7 +85,7 @@ def _emit_text(c: Classification, bound: int | None) -> str:
         out.append(f"{label} ({len(group)}):")
         for s in group:
             weights, degree = _series_exprs(s)
-            out.append(f"  ({','.join(weights)})  d = {degree}    [{_series_text(s)}]")
+            out.append(f"  {weights}  d = {degree}    [{_series_text(s)}]")
     out.append(f"sporadic ({len(c.sporadic)}):")
     out.extend(f"  {q}" for q in c.sporadic)
     out.append("parameters non-negative, tuple ordered")
@@ -178,38 +174,27 @@ def _emit_csv(c: Classification) -> str:
     return buf.getvalue()
 
 
-def _latex_table(caption: str, rows: list[tuple[str, str]]) -> list[str]:
-    out = [
-        r"\begin{longtable}{|c|c|}",
-        rf"\caption{{{caption}}}\\",
-        r"\hline",
-        r"$(a_0,a_1,a_2,a_3)$ & $d$\\",
-        r"\hline",
-        r"\endhead",
-    ]
-    for weights, degree in rows:
-        out.append(rf"${weights}$ & ${degree}$\\")
-        out.append(r"\hline")
-    out.append(r"\end{longtable}")
-    return out
-
-
 def _emit_latex(c: Classification) -> str:
-    sections: list[str] = []
-    def series_rows(group: tuple[Series, ...]) -> list[tuple[str, str]]:
-        rows = []
-        for s in group:
-            weights, degree = _series_exprs(s)
-            rows.append((f"({','.join(weights)})", degree))
-        return rows
-    if c.two_param:
-        sections += _latex_table(f"Index {c.index}, Two-Parameter Series", series_rows(c.two_param))
-    if c.one_param:
-        sections += _latex_table(f"Index {c.index}, Infinite Series", series_rows(c.one_param))
-    if c.sporadic:
-        rows = [(f"({','.join(map(str, q.weights))})", str(q.d)) for q in c.sporadic]
-        sections += _latex_table(f"Index {c.index}, Sporadic Cases", rows)
-    return "\n".join(sections) + "\n"
+    out: list[str] = []
+    for caption, rows in (
+        ("Two-Parameter Series", [_series_exprs(s) for s in c.two_param]),
+        ("Infinite Series", [_series_exprs(s) for s in c.one_param]),
+        ("Sporadic Cases", [(f"({','.join(map(str, q.weights))})", str(q.d)) for q in c.sporadic]),
+    ):
+        if not rows:
+            continue
+        out += [
+            r"\begin{longtable}{|c|c|}",
+            rf"\caption{{Index {c.index}, {caption}}}\\",
+            r"\hline",
+            r"$(a_0,a_1,a_2,a_3)$ & $d$\\",
+            r"\hline",
+            r"\endhead",
+        ]
+        for weights, degree in rows:
+            out += [rf"${weights}$ & ${degree}$\\", r"\hline"]
+        out.append(r"\end{longtable}")
+    return "\n".join(out) + "\n"
 
 
 def _check_expand_bound(fmt: str, expand_bound: int | None) -> None:
@@ -265,18 +250,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
         contains(s, q) for s in classification.all_series
     )
 
-    def pair_detail(checks) -> str:
-        return "  ".join(f"a{i}a{j}:{'pass' if ok else 'FAIL'}" for (i, j), ok in checks)
+    def detail(checks) -> str:
+        """Each pair or triple as a0a1:pass or a0a1a2:FAIL."""
+        return "  ".join("".join(f"a{i}" for i in ix) + f":{'pass' if ok else 'FAIL'}" for ix, ok in checks)
 
     out = [
         f"quintuple {q}  index {q.index}",
-        f"  (i)   pair gcd divides degree:   {pair_detail(report.wf_pairs)}",
-        f"  (ii)  weight triples coprime:    "
-        + "  ".join(f"a{i}a{j}a{k}:{'pass' if ok else 'FAIL'}" for (i, j, k), ok in report.wf_triples),
+        f"  (i)   pair gcd divides degree:   {detail(report.wf_pairs)}",
+        f"  (ii)  weight triples coprime:    {detail(report.wf_triples)}",
         "  (iii) degree exceeds top weight: pass",  # Quintuple guarantees d > a3
         f"  (iv)  pure power coverage:       {'pass' if report.cond_iv else 'FAIL'}",
-        f"  (v)   shared-factor pairs:       {pair_detail(report.cond_v) or 'no pairs with shared factor'}",
-        f"  (vi)  edge coverage:             {pair_detail(report.cond_vi)}",
+        f"  (v)   shared-factor pairs:       {detail(report.cond_v) or 'no pairs with shared factor'}",
+        f"  (vi)  edge coverage:             {detail(report.cond_vi)}",
     ]
     if report.waived_pair is not None:
         i, j = report.waived_pair

@@ -15,12 +15,12 @@ Both decide the same predicate; the equivalence is exercised exhaustively in
 the test suite.
 
 One parametric family needs special handling.  In (7, 2v, 3v, (9v-7)/2) of
-degree 9v with v odd, the two even weights have gcd 2 while the degree is
-odd, so no monomial in those two variables alone exists and their edge lies
-inside every member of the linear system.  Both cross monomials covering the
-edge exist, so the general member stays quasi-smooth along it, and the tables
-include the family: the pure-pair requirements step aside for exactly this
-edge; every other condition still applies.
+degree 9v with v = 3 mod 4 and prime to 7, the two even weights have gcd 2
+while the degree is odd, so no monomial in those two variables alone exists
+and their edge lies inside every member of the linear system.  Both cross
+monomials covering the edge exist, so the general member stays quasi-smooth
+along it, and the tables include the family: the pure-pair requirements step
+aside for exactly this edge; every other condition still applies.
 
 Conditions (v) and (vi) follow from (i), (ii) and (iv).  Take a pair (i, j)
 with other indices k, l; every d - a_m is positive.
@@ -178,14 +178,15 @@ def covered_edge_pair(q: Quintuple) -> tuple[int, int] | None:
     """The admissible contained-edge pair, or None.
 
     Recognises the shape (7, 2v, 3v, (9v-7)/2) of degree 9v with v = 3 mod 4
-    and returns the index pair of its two even weights, 2v and (9v-7)/2,
-    whose pure-pair checks the module docstring waives.
+    and prime to 7, and returns the index pair of its two even weights, 2v and
+    (9v-7)/2, whose pure-pair checks the module docstring waives.  When 7
+    divides v their gcd is 14, not 2, and every weight triple has gcd 7.
     """
     w, d = q.weights, q.d
     if d % 9 or d % 2 == 0:
         return None
     v = d // 9
-    if v % 4 != 3 or w != tuple(sorted((7, 2 * v, 3 * v, (9 * v - 7) // 2))):
+    if v % 4 != 3 or v % 7 == 0 or w != tuple(sorted((7, 2 * v, 3 * v, (9 * v - 7) // 2))):
         return None
     return (w.index(2 * v), w.index((9 * v - 7) // 2))
 

@@ -189,23 +189,10 @@ def expand(series: Series, bound: int) -> list[Quintuple]:
 
     Members come out in lexicographic parameter order.
     """
-    out: list[Quintuple] = []
-    base = series.base.astuple()
-    s1 = series.steps[0]
-    if len(series.steps) == 1:
-        for x in range(_max_param(base, s1, bound) + 1):
-            vals = _shifted(base, s1, x)
-            if vals[0] <= vals[1] <= vals[2] <= vals[3] <= bound:
-                out.append(Quintuple(*vals))
-        return out
-    s2 = series.steps[1]
-    for x in range(_max_param(base, s1, bound) + 1):
-        mid = _shifted(base, s1, x)
-        for y in range(_max_param(mid, s2, bound) + 1):
-            vals = _shifted(mid, s2, y)
-            if vals[0] <= vals[1] <= vals[2] <= vals[3] <= bound:
-                out.append(Quintuple(*vals))
-    return out
+    points = [series.base.astuple()]
+    for step in series.steps:
+        points = [_shifted(p, step, x) for p in points for x in range(_max_param(p, step, bound) + 1)]
+    return [Quintuple(*v) for v in points if v[0] <= v[1] <= v[2] <= v[3] <= bound]
 
 
 def contains(series: Series, q: Quintuple) -> bool:

@@ -57,6 +57,11 @@ JSON_SHA256 = {
     40: "0da0c6c0cae74e1e9aa7442fd11b75bcb09162c591d25e0038295daed00dfb75",
 }
 
+# sha256 over render(classify_index(I), fmt) for I = 1..12, in the order
+# text, csv, latex and text with expand_bound=60 per index, recorded before
+# the LaTeX sections and series expressions were each written once
+FORMATS_SHA256 = "33923062a05e56985b23ba2dfbf9bd52be22d48cffb18641d343c837f7986a86"
+
 
 def run(capsys, *argv):
     try:
@@ -122,6 +127,14 @@ class TestClassify:
             if c.index in JSON_SHA256:
                 assert hashlib.sha256(text.encode()).hexdigest() == JSON_SHA256[c.index], c.index
 
+    def test_text_csv_latex_match_golden_digest(self, classified):
+        digest = hashlib.sha256()
+        for index in range(1, 13):
+            c = classified(index)
+            for fmt, bound in (("text", None), ("csv", None), ("latex", None), ("text", 60)):
+                digest.update(render(c, fmt, bound).encode())
+        assert digest.hexdigest() == FORMATS_SHA256
+
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "classify", "--index", "3", "--format", "csv")
         assert code == 0
@@ -164,6 +177,14 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "6", "7", "9", "10", "--degree", "27")
         assert code == 0
         assert "admitted as a covered contained edge" in out
+
+    def test_covered_edge_shape_with_v_divisible_by_7(self, capsys):
+        # (7, 2v, 3v, (9v-7)/2) at v = 7: the pair gcd is 14, so no waiver
+        code, out, _ = run(capsys, "check", "7", "14", "21", "28", "--degree", "63")
+        assert code == 1
+        line = next(line for line in out.splitlines() if line.lstrip().startswith("(i) "))
+        assert "a1a3:FAIL" in line
+        assert "note:" not in out
 
     def test_inconsistent_index_is_malformed(self, capsys):
         code, _, err = run(capsys, "check", "1", "2", "3", "5", "--index", "9")

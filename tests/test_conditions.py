@@ -152,6 +152,7 @@ class TestCoveredEdge:
             (1, 2, 3, 5, 10),      # degree not a multiple of 9
             (1, 4, 6, 8, 18),      # even degree
             (6, 7, 9, 11, 27),     # wrong weights
+            (7, 14, 21, 28, 63),   # v = 7: the even pair has gcd 14, not 2
         ],
     )
     def test_non_members(self, t):
@@ -169,7 +170,7 @@ class TestCoveredEdge:
         accepted = 0
         for v in range(3, 404, 4):
             q = Quintuple(*sorted((7, 2 * v, 3 * v, (9 * v - 7) // 2)), 9 * v)
-            assert covered_edge_pair(q) is not None and not well_formed(q), v
+            assert (covered_edge_pair(q) is not None) == (v % 7 != 0) and not well_formed(q), v
             assert detect_types(q) == frozenset() and detect_class(q) is None, v
             accepted += quasismooth_divisibility(q).accepted
             assert not is_valid(q) and not is_solid(q), v

@@ -113,6 +113,29 @@ def test_src_imports_are_used():
         assert imported <= read, (path.name, sorted(imported - read))
 
 
+def test_src_private_names_are_read():
+    # every module-level private function, class or assignment is read
+    # somewhere in the package, so no helper outlives its last caller
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "dpweights").glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    for name, tree in trees.items():
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+        private = {n for n in defined if n.startswith("_") and not n.startswith("__")}
+        assert private <= read, (name, sorted(private - read))
+
+
 def test_oracle_shares_no_classifier_helper():
     # the oracle is ground truth only while it borrows nothing from the
     # classifier: math, the monomial form and the Quintuple record alone
