@@ -47,7 +47,8 @@ of the candidates it would reject are never tried:
   gcd(g, a2) = gcd(g, a3) = 1.  The pairs (a0, a3) and (a1, a2) divide
   d = a0 + 2*a3 = a1 + 2*a2 anyway, and g divides d by (iv): an odd prime or
   4 dividing g would divide none of the four d - a_j above, so g divides 2
-  and with it a1 + 2*a2 = d.
+  and with it a1 + 2*a2 = d.  So a k with g > 2 keeps no value, and
+  ``enumerate_class`` skips its window.
 
 Every window keeps one contract: it yields, in ascending order, exactly the
 values whose quintuple passes (iv) and is well formed.  Only those become a
@@ -173,6 +174,8 @@ def enumerate_class(class_number: int, index: int) -> list[Series]:
     elif class_number == 6:
         for k in range(1, index):
             a0, a1 = index - k, index + k
+            if gcd(a0, a1) > 2:  # (iv) and the sieve keep no a2 (module docstring)
+                continue
             for a2 in _class6_window(index, k):
                 emit(a0, a1, a2, a2 + k, a1 + 2 * a2)
     else:

@@ -10,6 +10,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification mismatch or failed condition check,
 2 malformed arguments.  Diagnostics go to stderr prefixed with ``ERROR:``.
+
+``main`` builds its parser on the first call and reuses it for every later
+call in the process; parsing keeps no state in it.  The subcommands look up
+``classify_index`` and the other collaborators in this module's globals at
+call time, so replacing one of them here takes effect on the next call.
 """
 from __future__ import annotations
 
@@ -18,6 +23,7 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 
 from .classify import classify_index, expand_classification
 from .conditions import (
@@ -365,9 +371,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@cache
+def _shared_parser() -> _Parser:
+    """The parser ``main`` uses: built on first use, not at import."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:
