@@ -138,6 +138,13 @@ class TestEnumerateClass:
         # no pair of positive weights can sum to 1
         assert enumerate_class(1, 1) == []
 
+    def test_class6_keeps_nothing_where_pair_gcd_exceeds_two(self):
+        # enumerate_class skips these k without walking their windows
+        for index in range(2, 41):
+            for k in range(1, index):
+                if gcd(index - k, index + k) > 2:
+                    assert _class6_window(index, k) == [], (index, k)
+
 
 class TestExpandClassification:
     def test_sorted_unique_and_bounded(self):

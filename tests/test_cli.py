@@ -5,12 +5,17 @@ import csv
 import hashlib
 import io
 import json
+import subprocess
+import sys
+import textwrap
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
+from dpweights import cli
 from dpweights.classify import classify_index
 from dpweights.cli import classification_payload, main, render
 from dpweights.core import Classification, Quintuple
@@ -337,3 +342,91 @@ class TestArgErrors:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("ERROR:")
+
+
+# one call of each kind the parser decides, in one process: both exclusive
+# options of check, an argparse error, a format choice, an optional bound, an
+# error raised after parsing, and the first call again
+PARSER_SEQUENCE = [
+    ("check", "2", "4", "5", "7", "--degree", "14"),
+    ("check", "2", "4", "5", "7", "--index", "4"),
+    ("check", "2", "4", "5", "7", "--index", "4", "--degree", "14"),
+    ("classify", "--index", "3", "--format", "csv"),
+    ("classify", "--index", "3", "--expand-bound", "20"),
+    ("expand", "--series", '{"base": [1, 1', "--bound", "9"),
+    ("check", "2", "4", "5", "7", "--degree", "14"),
+]
+
+# counts, in a fresh interpreter, the argparse parsers that importing the CLI
+# makes and the parsers that three later main calls build
+BUILD_COUNT_SCRIPT = textwrap.dedent("""
+    import argparse, contextlib, io, sys
+    sys.path.insert(0, sys.argv[1])
+    made = 0
+    init = argparse.ArgumentParser.__init__
+    def counting_init(self, *args, **kwargs):
+        global made
+        made += 1
+        init(self, *args, **kwargs)
+    argparse.ArgumentParser.__init__ = counting_init
+    import dpweights.cli as cli
+    at_import = made
+    built = 0
+    build = cli.build_parser
+    def counting_build():
+        global built
+        built += 1
+        return build()
+    cli.build_parser = counting_build
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["check", "2", "4", "5", "7", "--index", "4"])
+        cli.main(["classify", "--index", "2"])
+        cli.main(["check", "1", "1", "2", "2", "--degree", "5"])
+    print(at_import, built)
+""")
+
+
+def call(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestSharedParser:
+    def test_calls_match_a_fresh_parser(self, monkeypatch):
+        shared = [call(argv) for argv in PARSER_SEQUENCE]
+        monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)  # a new parser per call
+        fresh = [call(argv) for argv in PARSER_SEQUENCE]
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 2, 0]
+        assert shared[2][2].startswith("ERROR:") and shared[5][2].startswith("ERROR:")
+
+    def test_parser_built_at_most_once(self, monkeypatch):
+        build, built = cli.build_parser, []
+
+        def counting_build():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        for argv in [
+            *PARSER_SEQUENCE,
+            ("verify", "--index", "2", "--bound", "20"),
+            ("obstructions", "--index", "1", "--bound", "10"),
+            *PARSER_SEQUENCE,
+        ]:
+            call(argv)
+        assert len(built) <= 1
+
+    def test_import_builds_none_and_first_call_builds_one(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", BUILD_COUNT_SCRIPT, str(src)],
+            capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.split() == ["0", "1"]
