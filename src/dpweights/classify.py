@@ -48,7 +48,7 @@ of the candidates it would reject are never tried:
   d = a0 + 2*a3 = a1 + 2*a2 anyway, and g divides d by (iv): an odd prime or
   4 dividing g would divide none of the four d - a_j above, so g divides 2
   and with it a1 + 2*a2 = d.  So a k with g > 2 keeps no value, and
-  ``enumerate_class`` skips its window.
+  ``_class6_window`` returns none for it without walking.
 
 Every window keeps one contract: it yields, in ascending order, exactly the
 values whose quintuple passes (iv) and is well formed.  Only those become a
@@ -127,6 +127,8 @@ def _class6_window(index: int, k: int) -> list[int]:
     """The a2 of ``_class6_a2`` whose class 6 quintuple is well formed."""
     a0, a1 = index - k, index + k
     g = gcd(a0, a1)
+    if g > 2:  # (iv) and the sieve keep no a2 (module docstring)
+        return []
     return [
         a2 for a2 in _class6_a2(index, k)
         if gcd(a2, k) == 1 and a1 % gcd(a0, a2) == 0 and 2 * k % gcd(a1, a2 + k) == 0
@@ -174,8 +176,6 @@ def enumerate_class(class_number: int, index: int) -> list[Series]:
     elif class_number == 6:
         for k in range(1, index):
             a0, a1 = index - k, index + k
-            if gcd(a0, a1) > 2:  # (iv) and the sieve keep no a2 (module docstring)
-                continue
             for a2 in _class6_window(index, k):
                 emit(a0, a1, a2, a2 + k, a1 + 2 * a2)
     else:

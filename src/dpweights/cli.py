@@ -12,9 +12,12 @@ Exit codes: 0 success, 1 verification mismatch or failed condition check,
 2 malformed arguments.  Diagnostics go to stderr prefixed with ``ERROR:``.
 
 ``main`` builds its parser on the first call and reuses it for every later
-call in the process; parsing keeps no state in it.  The subcommands look up
-``classify_index`` and the other collaborators in this module's globals at
-call time, so replacing one of them here takes effect on the next call.
+call in the process; parsing keeps no state in it.  That first build fixes
+the subcommand handlers and argument types the parser holds, so replacing
+``_cmd_check`` or ``_positive`` here later changes nothing.  The subcommands
+themselves look up ``classify_index`` and the other collaborators in this
+module's globals at call time, so replacing one of those takes effect on the
+next call.
 """
 from __future__ import annotations
 

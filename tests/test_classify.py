@@ -139,11 +139,16 @@ class TestEnumerateClass:
         assert enumerate_class(1, 1) == []
 
     def test_class6_keeps_nothing_where_pair_gcd_exceeds_two(self):
-        # enumerate_class skips these k without walking their windows
+        # _class6_window returns [] for these k without walking; the full
+        # checks over the walk it skips must keep nothing either
         for index in range(2, 41):
             for k in range(1, index):
-                if gcd(index - k, index + k) > 2:
+                a0, a1 = index - k, index + k
+                if gcd(a0, a1) > 2:
                     assert _class6_window(index, k) == [], (index, k)
+                    for a2 in _class6_a2(index, k):
+                        w = (a0, a1, a2, a2 + k, a1 + 2 * a2)
+                        assert not (_cond_iv_ints(*w) and _well_formed_ints(*w)), w
 
 
 class TestExpandClassification:
