@@ -339,29 +339,44 @@ def detect_types(q: Quintuple) -> frozenset[str]:
     return frozenset(found)
 
 
+# The six series classes, one affine family each, in detection order.  A
+# record holds, as functions of (a0, a1, a2, a3, I), the relation with I,
+# with the guard that sets it apart from the classes before it (so at most
+# one relation holds), and the weights whose lcm is the series modulus m;
+# then the step shapes in units of m.
+_CLASSES = (
+    (lambda a0, a1, a2, a3, i: a0 + a1 == i,
+     lambda a0, a1, a2, a3, i: (a0, a1),
+     ((0, 0, 1, 0, 1), (0, 0, 0, 1, 1))),
+    (lambda a0, a1, a2, a3, i: a0 + a2 == i and a2 > a1,
+     lambda a0, a1, a2, a3, i: (a0, a1, a2),
+     ((0, 0, 0, 1, 1),)),
+    (lambda a0, a1, a2, a3, i: a1 + a2 == i and a1 > a0,
+     lambda a0, a1, a2, a3, i: (a0, a1, a2),
+     ((0, 0, 0, 1, 1),)),
+    (lambda a0, a1, a2, a3, i: 2 * a0 + a1 == 2 * i,
+     lambda a0, a1, a2, a3, i: (a0, a1),
+     ((0, 0, 1, 1, 2),)),
+    (lambda a0, a1, a2, a3, i: a0 + 2 * a1 == 2 * i and a1 > a0,
+     lambda a0, a1, a2, a3, i: (a0, a1),
+     ((0, 0, 1, 1, 2),)),
+    (lambda a0, a1, a2, a3, i: a0 < i and a0 + a1 == 2 * i and a3 - a2 == i - a0,
+     lambda a0, a1, a2, a3, i: (a0, a1, i - a0),
+     ((0, 0, 1, 1, 2),)),
+)
+
+
 def detect_class(q: Quintuple) -> int | None:
     """The series class (1..6) the quintuple belongs to, or None.
 
-    Each class is its defining relation plus, where an earlier class could
-    also hold, the guard that sets it apart, so the classes are mutually
-    exclusive.  By Lemma B (module docstring) they cover the typed
-    quintuples that pass (iv) and are well formed.
+    That is the first record of ``_CLASSES`` whose relation holds.  By
+    Lemma B (module docstring) the classes cover the typed quintuples that
+    pass (iv) and are well formed.
     """
-    idx = q.index
-    a0, a1, a2, a3 = q.weights
-    if a0 + a1 == idx:
-        return 1
-    if a0 + a2 == idx and a2 > a1:
-        return 2
-    if a1 + a2 == idx and a1 > a0:
-        return 3
-    if a1 % 2 == 0 and a0 + a1 // 2 == idx:
-        return 4
-    if a0 % 2 == 0 and a0 // 2 + a1 == idx and a1 > a0:
-        return 5
-    k = idx - a0
-    if k >= 1 and a1 == idx + k and a3 - a2 == k:
-        return 6
+    a0, a1, a2, a3, i = q.a0, q.a1, q.a2, q.a3, q.index
+    for n, (relation, _, _) in enumerate(_CLASSES, 1):
+        if relation(a0, a1, a2, a3, i):
+            return n
     return None
 
 

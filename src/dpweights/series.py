@@ -1,15 +1,16 @@
 """The series type and its construction, expansion and membership.
 
-A series is a base quintuple plus step vectors; the six series classes fix
-the step shape and the modulus (lcm of the series-defining weights).
+A series is a base quintuple plus step vectors; each of the six series
+classes fixes the step shapes and the modulus, the lcm of its modulus
+weights, in its record of the class table ``conditions._CLASSES``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd, lcm
+from math import lcm
 
-from .conditions import cond_iv, detect_class, well_formed
+from .conditions import _CLASSES, cond_iv, detect_class, well_formed
 from .core import Quintuple
 
 
@@ -45,16 +46,6 @@ class SeriesClass(Enum):
 _BY_CLASS_NUMBER = (None, *(SeriesClass(f"class{n}") for n in range(1, 7)))
 
 StepVector = tuple[int, int, int, int, int]
-
-# step shapes per class number, in units of the series modulus m
-STEP_SHAPES: dict[int, tuple[StepVector, ...]] = {
-    1: ((0, 0, 1, 0, 1), (0, 0, 0, 1, 1)),
-    2: ((0, 0, 0, 1, 1),),
-    3: ((0, 0, 0, 1, 1),),
-    4: ((0, 0, 1, 1, 2),),
-    5: ((0, 0, 1, 1, 2),),
-    6: ((0, 0, 1, 1, 2),),
-}
 
 
 @dataclass(frozen=True)
@@ -99,11 +90,6 @@ class Series:
             if all(s[i] * t[4] == t[i] * s[4] for i in range(4)):
                 raise ValueError(f"series steps {s} and {t} are linearly dependent")
 
-    @property
-    def modulus(self) -> int:
-        """Common granularity of the weight increments."""
-        return gcd(*(x for step in self.steps for x in step[:4]))
-
     def member(self, *params: int) -> Quintuple:
         """The member at the given non-negative parameters (must be ordered)."""
         if len(params) != len(self.steps):
@@ -131,31 +117,23 @@ class Series:
         return cls(SeriesClass(data["class"]), base, steps)
 
 
-def defining_weights(class_number: int, rep: Quintuple) -> tuple[int, ...]:
-    """The weights whose lcm is the series modulus for this class."""
-    if class_number in (1, 4, 5):
-        return (rep.a0, rep.a1)
-    if class_number in (2, 3):
-        return (rep.a0, rep.a1, rep.a2)
-    if class_number == 6:
-        return (rep.a0, rep.a1, rep.index - rep.a0)
-    raise ValueError(f"series class number must be 1..6, got {class_number}")
-
-
 def _class_steps(class_number: int, rep: Quintuple) -> tuple[StepVector, ...]:
     """The steps of the class series through ``rep``: the rule for a class series.
 
     ``rep`` must lie in the class and be solid, which for a quintuple in a
     class is (iv) and well-formedness (Lemma B in ``conditions``).  The steps
-    are the modulus, the lcm of the class-defining weights, times the class's
-    ``STEP_SHAPES``.
+    are the modulus m, the lcm of the class's modulus weights, times its step
+    shapes, both read from the class's record in ``conditions._CLASSES``.
+    The class test comes first, so a number outside 1..6 raises before it
+    could index the table.
     """
     if detect_class(rep) != class_number:
         raise ValueError(f"{rep} does not lie in series class {class_number}")
     if not (cond_iv(rep) and well_formed(rep)):
         raise ValueError(f"series representative {rep} is not solid")
-    m = lcm(*defining_weights(class_number, rep))
-    return tuple([(m * a, m * b, m * c, m * e, m * f) for a, b, c, e, f in STEP_SHAPES[class_number]])
+    _, modulus_weights, shapes = _CLASSES[class_number - 1]
+    m = lcm(*modulus_weights(rep.a0, rep.a1, rep.a2, rep.a3, rep.index))
+    return tuple([(m * a, m * b, m * c, m * e, m * f) for a, b, c, e, f in shapes])
 
 
 def make_series(class_number: int, rep: Quintuple) -> Series:

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 from golden_tables import expand_golden
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dpweights.classify import (
     _class6_a2,
@@ -45,6 +47,9 @@ EMISSION_COUNTS = {
     6: (13, 52, 13),
 }
 
+
+# every class series emitted at I <= 12, with its class number
+SMALL_SERIES = [(n, s) for index in range(1, 13) for n in range(1, 7) for s in enumerate_class(n, index)]
 
 # indices within and past the golden digests' range, as the residue walk checks
 WIDE_INDICES = [*range(1, 25), 30, 40]
@@ -149,6 +154,20 @@ class TestEnumerateClass:
                     for a2 in _class6_a2(index, k):
                         w = (a0, a1, a2, a2 + k, a1 + 2 * a2)
                         assert not (_cond_iv_ints(*w) and _well_formed_ints(*w)), w
+
+    @given(st.sampled_from(SMALL_SERIES), st.integers(0, 10**6), st.integers(0, 10**6))
+    @settings(max_examples=1000, derandomize=True, deadline=None)
+    def test_far_members_stay_in_class_and_solid(self, drawn, x, y):
+        # members far past any enumerated range keep the class and solidity,
+        # and pass the verdict the self-check applies to the bases
+        n, s = drawn
+        vals = list(s.base.astuple())
+        for p, step in zip((x, y), s.steps):
+            vals = [v + p * t for v, t in zip(vals, step)]
+        assume(vals[0] <= vals[1] <= vals[2] <= vals[3])  # class 1 can cross a2 over a3
+        q = Quintuple(*vals)
+        assert detect_class(q) == n and is_solid(q), (s, q)
+        assert quasismooth_divisibility(q).accepted, (s, q)
 
 
 class TestExpandClassification:

@@ -12,6 +12,7 @@ from dpweights.classify import enumerate_class
 from dpweights.conditions import (
     PAIRS,
     TRIPLES,
+    _CLASSES,
     _reaches,
     cond_iv,
     covered_edge_pair,
@@ -24,7 +25,7 @@ from dpweights.conditions import (
     well_formed,
 )
 from dpweights.core import Quintuple
-from dpweights.series import STEP_SHAPES, contains, defining_weights, make_series
+from dpweights.series import contains, make_series
 
 
 def reaches_by_search(ai: int, aj: int, r: int) -> bool:
@@ -48,6 +49,27 @@ def cond_iv_by_definition(q: Quintuple) -> bool:
     """Condition (iv) as a loop: every weight divides d - aj for some aj."""
     w = q.weights
     return all(any((q.d - aj) % ai == 0 for aj in w) for ai in w)
+
+
+def detect_class_by_branches(q: Quintuple) -> int | None:
+    """The class as six guarded branches, the form detect_class had before
+    its class table."""
+    idx = q.index
+    a0, a1, a2, a3 = q.weights
+    if a0 + a1 == idx:
+        return 1
+    if a0 + a2 == idx and a2 > a1:
+        return 2
+    if a1 + a2 == idx and a1 > a0:
+        return 3
+    if a1 % 2 == 0 and a0 + a1 // 2 == idx:
+        return 4
+    if a0 % 2 == 0 and a0 // 2 + a1 == idx and a1 > a0:
+        return 5
+    k = idx - a0
+    if k >= 1 and a1 == idx + k and a3 - a2 == k:
+        return 6
+    return None
 
 
 def quintuples_up_to(bound: int, max_index: int):
@@ -234,9 +256,18 @@ class TestPieces:
                 assert accepted == (solid and cls == n), (q, n)
 
     def test_class_guards_exclusive(self):
-        # every quintuple lands in at most one class by construction
-        for q in quintuples_up_to(16, 8):
-            detect_class(q)  # must not raise, returns int or None
+        # at most one class relation holds on any quintuple, and the table
+        # gives the class of the six guarded branches, at every degree and
+        # so every index: check prints class= for any input
+        classes = set()
+        for w in combinations_with_replacement(range(1, 20), 4):
+            for d in range(w[3] + 1, sum(w)):
+                q = Quintuple(*w, d)
+                held = [n for n, (relation, _, _) in enumerate(_CLASSES, 1) if relation(*w, q.index)]
+                assert len(held) <= 1, (q, held)
+                assert detect_class(q) == detect_class_by_branches(q) == (held[0] if held else None), q
+                classes.add(held[0] if held else None)
+        assert classes == {None, 1, 2, 3, 4, 5, 6}
 
     def test_solid_implies_valid_and_class(self):
         for q in quintuples_up_to(24, 8):
@@ -268,8 +299,9 @@ class TestPieces:
         # weights stay ordered keeps the class and solidity, and reducing as
         # far as the steps go lands on the base of the emitted series holding q
         def steps(n: int, q: Quintuple) -> list[tuple[int, ...]]:
-            m = lcm(*defining_weights(n, q))
-            return [tuple(m * x for x in shape) for shape in STEP_SHAPES[n]]
+            _, modulus_weights, shapes = _CLASSES[n - 1]
+            m = lcm(*modulus_weights(*q.weights, q.index))
+            return [tuple(m * x for x in shape) for shape in shapes]
 
         def minus(q: Quintuple, step: tuple[int, ...]) -> Quintuple | None:
             t = tuple(x - y for x, y in zip(q.astuple(), step))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dpweights.classify import classify_index, expand_classification
 from dpweights.conditions import quasismooth_divisibility
 from dpweights.core import Quintuple
-from dpweights.series import Series, SeriesClass, canonical_key, contains, defining_weights, expand, make_series
+from dpweights.series import Series, SeriesClass, _class_steps, canonical_key, contains, expand, make_series
 
 
 def contains_by_search(series, q) -> bool:
@@ -42,14 +42,12 @@ class TestMakeSeries:
     def test_class1_two_steps(self):
         s = make_series(1, Quintuple(1, 1, 3, 3, 6))
         assert s.origin is SeriesClass.CLASS1
-        assert s.modulus == 1
         assert s.steps == ((0, 0, 1, 0, 1), (0, 0, 0, 1, 1))
         assert s.member(2, 4).astuple() == (1, 1, 5, 7, 12)
 
     def test_class2_modulus_is_lcm_of_three(self):
         s = make_series(2, Quintuple(1, 1, 2, 3, 4))
-        assert defining_weights(2, s.base) == (1, 1, 2)
-        assert s.modulus == 2
+        assert s.steps == ((0, 0, 0, 2, 2),)
         assert [q.astuple() for q in expand(s, 9)] == [
             (1, 1, 2, 3, 4), (1, 1, 2, 5, 6), (1, 1, 2, 7, 8), (1, 1, 2, 9, 10),
         ]
@@ -58,7 +56,7 @@ class TestMakeSeries:
         # the even and odd halves of the same arithmetic pattern are two series
         even = make_series(4, Quintuple(2, 4, 5, 7, 14))
         odd = make_series(4, Quintuple(2, 4, 7, 9, 18))
-        assert even.modulus == odd.modulus == 4
+        assert even.steps == odd.steps == ((0, 0, 4, 4, 8),)
         union = {q.astuple() for q in expand(even, 60)} | {q.astuple() for q in expand(odd, 60)}
         pattern = {(2, 4, 5 + 2 * x, 7 + 2 * x, 14 + 4 * x) for x in range(27)}
         assert union == {t for t in pattern if t[3] <= 60}
@@ -68,12 +66,19 @@ class TestMakeSeries:
             make_series(1, Quintuple(1, 1, 2, 2, 5))     # not solid
         with pytest.raises(ValueError):
             make_series(3, Quintuple(1, 1, 3, 3, 6))     # class mismatch
+        # the class test comes before the table lookup, so class number 0
+        # cannot read the last record, class 6, on a solid class-6 base
+        for n in (0, 7, -1):
+            for build in (make_series, _class_steps):
+                with pytest.raises(ValueError):
+                    build(n, Quintuple(1, 3, 3, 4, 9))
 
     def test_class6_defining_weights(self):
-        # shape (I-k, I+k, a, a+k) with k = index - a0
+        # shape (I-k, I+k, a, a+k) with k = index - a0: the modulus is
+        # lcm(a0, a1, k) = lcm(1, 3, 1)
         rep = Quintuple(1, 3, 3, 4, 9)
         assert rep.index == 2
-        assert defining_weights(6, rep) == (1, 3, 1)
+        assert make_series(6, rep).steps == ((0, 0, 3, 3, 6),)
 
 
 class TestExpandContains:
