@@ -76,7 +76,7 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .conditions import _cond_iv_ints, _well_formed_ints, is_solid, quasismooth_divisibility
-from .core import Classification, Quintuple, ceil_div
+from .core import Classification, Quintuple
 from .series import Series, canonical_key, contains, expand, make_series
 from .tables import instantiate
 
@@ -168,7 +168,7 @@ def enumerate_class(class_number: int, index: int) -> list[Series]:
                     emit(a0, a1, a2, a3, s + a3)
     elif class_number in (4, 5):
         # the pair {index - k, 2k}: class 4 has index - k <= 2k, class 5 the rest
-        split = ceil_div(index, 3)
+        split = (index + 2) // 3  # ceil(index / 3)
         for k in range(split, index) if class_number == 4 else range(1, split):
             a0, a1 = sorted((index - k, 2 * k))
             for a2 in _type2_window(a0, a1, k):

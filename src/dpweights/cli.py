@@ -148,7 +148,7 @@ _SERIES_JSON = {n: _json_series_template(n) for n in (1, 2)}
 
 def _json_series(s: Series) -> str:
     """One series as it sits in a top-level list, at depth two."""
-    return _SERIES_JSON[len(s.steps)] % (*s.base.astuple(), *sum(s.steps, ()), s.origin.value)
+    return _SERIES_JSON[len(s.steps)] % (*s.base.astuple(), *sum(s.steps, ()), s.origin)
 
 
 def _emit_json(c: Classification) -> str:

@@ -8,13 +8,6 @@ if TYPE_CHECKING:
     from .series import Series
 
 
-def ceil_div(a: int, b: int) -> int:
-    """a / b rounded towards +infinity (b positive)."""
-    if b < 1:
-        raise ValueError("ceil_div: divisor must be positive")
-    return -((-a) // b)
-
-
 @dataclass(frozen=True, order=True)
 class Quintuple:
     """An ordered weight system (a0 <= a1 <= a2 <= a3) together with a degree d.

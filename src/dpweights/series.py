@@ -1,49 +1,21 @@
 """The series type and its construction, expansion and membership.
 
-A series is a base quintuple plus step vectors; each of the six series
-classes fixes the step shapes and the modulus, the lcm of its modulus
-weights, in its record of the class table ``conditions._CLASSES``.
+A series is a base quintuple plus step vectors, tagged with its origin as
+the plain string it has on the wire; each of the six series classes fixes
+the step shapes and the modulus, the lcm of its modulus weights, in its
+record of the class table ``conditions._CLASSES``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from math import lcm
 
 from .conditions import _CLASSES, cond_iv, detect_class, well_formed
 from .core import Quintuple
 
 
-class SeriesClass(Enum):
-    """Origin tag for a series.
-
-    class1..class6 are the six series classes of the classification;
-    tableSeries marks a series that comes from the embedded tables.
-    """
-
-    CLASS1 = "class1"
-    CLASS2 = "class2"
-    CLASS3 = "class3"
-    CLASS4 = "class4"
-    CLASS5 = "class5"
-    CLASS6 = "class6"
-    TABLE_SERIES = "tableSeries"
-
-    @classmethod
-    def from_class_number(cls, n: int) -> "SeriesClass":
-        if n not in range(1, 7):
-            raise ValueError(f"series class number must be 1..6, got {n}")
-        return _BY_CLASS_NUMBER[n]
-
-    @property
-    def class_number(self) -> int | None:
-        """The 1..6 class number, or None for the table-origin tag."""
-        v = self.value
-        return int(v[5]) if v.startswith("class") else None
-
-
-# the member for each class number, at its position; 0 holds no class
-_BY_CLASS_NUMBER = (None, *(SeriesClass(f"class{n}") for n in range(1, 7)))
+# the wire tag of each series: the table-origin tag, then class n at position n
+_TAGS = ("tableSeries", "class1", "class2", "class3", "class4", "class5", "class6")
 
 StepVector = tuple[int, int, int, int, int]
 
@@ -52,6 +24,9 @@ StepVector = tuple[int, int, int, int, int]
 class Series:
     """A parametric family of quintuples: base plus one or two step vectors.
 
+    ``origin`` is one of the tags in ``_TAGS``: ``"class1"`` .. ``"class6"``
+    for the six series classes, ``"tableSeries"`` for a series from the
+    embedded tables.
     Every step is a 5-vector of non-negative ``int`` increments on
     (a0,a1,a2,a3,d) per unit of its parameter.  The degree entry always
     equals the sum of the weight entries, so it is positive and all members
@@ -63,7 +38,7 @@ class Series:
     ``make_series`` all apply that one rule, ``_class_steps``.
     """
 
-    origin: SeriesClass
+    origin: str
     base: Quintuple
     steps: tuple[StepVector, ...]
 
@@ -71,8 +46,10 @@ class Series:
         # exact type test: a bool entry would reach the wire format as true or false
         if any(type(x) is not int for step in self.steps for x in step):
             raise ValueError(f"step entries must be integers: {[list(s) for s in self.steps]}")
-        n = self.origin.class_number
-        if n is not None:
+        if self.origin not in _TAGS:
+            raise ValueError(f"unknown series tag {self.origin!r}")
+        n = _TAGS.index(self.origin)
+        if n:
             expected = _class_steps(n, self.base)
             if sorted(self.steps) != sorted(expected):
                 raise ValueError(f"class-{n} series through {self.base} has steps {list(expected)}, got {list(self.steps)}")
@@ -107,14 +84,14 @@ class Series:
         return {
             "base": list(self.base.astuple()),
             "steps": [list(s) for s in self.steps],
-            "class": self.origin.value,
+            "class": self.origin,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Series":
         base = Quintuple(*data["base"])
         steps = tuple(tuple(s) for s in data["steps"])
-        return cls(SeriesClass(data["class"]), base, steps)
+        return cls(data["class"], base, steps)
 
 
 def _class_steps(class_number: int, rep: Quintuple) -> tuple[StepVector, ...]:
@@ -142,11 +119,12 @@ def make_series(class_number: int, rep: Quintuple) -> Series:
     By Lemma B (``conditions``) that is a member of the class that passes
     (iv) and is well formed.  ``_class_steps`` checks the input once and
     gives the steps, which meet every rule of ``Series`` by construction, so
-    ``__post_init__`` is skipped.
+    ``__post_init__`` is skipped.  The tag is looked up only after that
+    check has rejected a number outside 1..6: ``_TAGS[-1]`` is ``"class6"``.
     """
     steps = _class_steps(class_number, rep)
     series = object.__new__(Series)
-    object.__setattr__(series, "origin", SeriesClass.from_class_number(class_number))
+    object.__setattr__(series, "origin", _TAGS[class_number])
     object.__setattr__(series, "base", rep)
     object.__setattr__(series, "steps", steps)
     return series

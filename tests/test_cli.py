@@ -245,11 +245,13 @@ class TestExpand:
         assert err.startswith("ERROR:")
 
     def test_unknown_class_tag(self, capsys):
-        # no series has a sporadic origin; sporadic cases are bare quintuples
-        series = self.SERIES.replace('"class2"', '"sporadic"')
-        code, out, err = run(capsys, "expand", "--series", series, "--bound", "9")
-        assert code == 2 and out == ""
-        assert err.startswith("ERROR:")
+        # no series has a sporadic origin; sporadic cases are bare quintuples.
+        # A tag is a string: a number, null or a list is no tag either
+        for tag in ['"sporadic"', '"class7"', "1", "null", '["class2"]']:
+            series = self.SERIES.replace('"class2"', tag)
+            code, out, err = run(capsys, "expand", "--series", series, "--bound", "9")
+            assert code == 2 and out == "", tag
+            assert err.startswith("ERROR:"), tag
 
     @pytest.mark.parametrize(
         "steps, tag",

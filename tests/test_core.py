@@ -1,20 +1,12 @@
-"""Domain type invariants: Quintuple, Series, Classification, TableRow."""
+"""Domain type invariants: Quintuple and Series."""
 from __future__ import annotations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpweights.core import Quintuple, ceil_div
-from dpweights.series import Series, SeriesClass
-from dpweights.tables import TableRow
-
-
-class TestHelpers:
-    @given(st.integers(-1000, 1000), st.integers(1, 50))
-    def test_ceil_div_matches_float_ceiling(self, a, b):
-        assert ceil_div(a, b) == -((-a) // b)
-        assert (ceil_div(a, b) - 1) * b < a <= ceil_div(a, b) * b
+from dpweights.core import Quintuple
+from dpweights.series import Series
 
 
 class TestQuintuple:
@@ -61,7 +53,7 @@ class TestQuintuple:
 
 
 class TestSeries:
-    def make(self, steps, origin=SeriesClass.TABLE_SERIES):
+    def make(self, steps, origin="tableSeries"):
         return Series(origin, Quintuple(1, 2, 3, 3, 6), steps)
 
     def test_member_and_modulus(self):
@@ -85,11 +77,11 @@ class TestSeries:
             self.make(((0, 0, 0, 2, 2), (0, 0, 0, 4, 4)))  # linearly dependent steps
         # a class-tagged series carries exactly its class's steps
         for steps, origin in [
-            (((0, 0, 2, 0, 2),), SeriesClass.CLASS2),  # class 2 moves a3
-            (((0, 0, 2, 0, 2), (0, 0, 0, 2, 2)), SeriesClass.CLASS2),  # the class-1 steps
-            (((0, 0, 0, 2, 2),), SeriesClass.CLASS1),  # class 1 has two steps
-            (((0, 0, 0, 2, 2),), SeriesClass.CLASS2),  # the base lies in class 1
-            (((0, 0, 4, 0, 4), (0, 0, 0, 4, 4)), SeriesClass.CLASS1),  # modulus 4, not lcm(1, 2)
+            (((0, 0, 2, 0, 2),), "class2"),  # class 2 moves a3
+            (((0, 0, 2, 0, 2), (0, 0, 0, 2, 2)), "class2"),  # the class-1 steps
+            (((0, 0, 0, 2, 2),), "class1"),  # class 1 has two steps
+            (((0, 0, 0, 2, 2),), "class2"),  # the base lies in class 1
+            (((0, 0, 4, 0, 4), (0, 0, 0, 4, 4)), "class1"),  # modulus 4, not lcm(1, 2)
         ]:
             with pytest.raises(ValueError):
                 self.make(steps, origin)
@@ -99,9 +91,9 @@ class TestSeries:
             (Quintuple(1, 2, 2, 4, 6), ((0, 0, 2, 0, 2), (0, 0, 0, 2, 2))),  # in class 1, not well formed
         ]:
             with pytest.raises(ValueError):
-                Series(SeriesClass.CLASS1, base, steps)
+                Series("class1", base, steps)
         # in either order
-        s = self.make(((0, 0, 0, 2, 2), (0, 0, 2, 0, 2)), SeriesClass.CLASS1)
+        s = self.make(((0, 0, 0, 2, 2), (0, 0, 2, 0, 2)), "class1")
         assert s.steps == ((0, 0, 0, 2, 2), (0, 0, 2, 0, 2))
 
     def test_class_origin_steps_move_by_modulus(self):
@@ -109,63 +101,29 @@ class TestSeries:
         s = self.make(((0, 0, 2, 4, 6),))
         assert s.steps == ((0, 0, 2, 4, 6),)
         with pytest.raises(ValueError):
-            self.make(((0, 0, 2, 4, 6),), origin=SeriesClass.CLASS1)
+            self.make(((0, 0, 2, 4, 6),), origin="class1")
 
     def test_rejects_non_int_step_entries(self):
         # bool is an int subclass, but to_dict would write it as JSON true or
         # false, which from_dict rejects
         for steps in [((0, 0, True, 0, True),), ((0, 0, 1.0, 0, 1),)]:
             with pytest.raises(ValueError):
-                Series(SeriesClass.TABLE_SERIES, Quintuple(1, 2, 3, 5, 8), steps)
+                Series("tableSeries", Quintuple(1, 2, 3, 5, 8), steps)
         with pytest.raises(ValueError):
             Series(
-                SeriesClass.CLASS1,
+                "class1",
                 Quintuple(1, 1, 1, 1, 2),
                 ((False, False, True, False, True), (False, False, False, True, True)),
             )
-        assert Series(SeriesClass.CLASS1, Quintuple(1, 1, 1, 1, 2), ((0, 0, 1, 0, 1), (0, 0, 0, 1, 1)))
+        assert Series("class1", Quintuple(1, 1, 1, 1, 2), ((0, 0, 1, 0, 1), (0, 0, 0, 1, 1)))
 
     def test_dict_roundtrip(self):
-        s = self.make(((0, 0, 2, 0, 2), (0, 0, 0, 2, 2)), origin=SeriesClass.CLASS1)
+        s = self.make(((0, 0, 2, 0, 2), (0, 0, 0, 2, 2)), origin="class1")
         assert Series.from_dict(s.to_dict()) == s
         assert s.to_dict()["class"] == "class1"
 
-
-class TestSeriesClass:
-    def test_class_numbers(self):
-        assert SeriesClass.from_class_number(3) is SeriesClass.CLASS3
-        assert SeriesClass.CLASS3.class_number == 3
-        assert SeriesClass.TABLE_SERIES.class_number is None
-        with pytest.raises(ValueError):
-            SeriesClass.from_class_number(7)
-
-
-class TestTableRow:
-    def test_evaluation(self):
-        row = TableRow(
-            weight_exprs=((0, 2), (2, 1), (2, 1), (4, 1)),
-            degree_expr=(8, 4),
-            index_expr=(0, 1),
-            source_label="unit",
-        )
-        assert row.weights_at(1) == (2, 3, 3, 5)
-        assert row.degree_at(1) == 12
-        assert row.index_at(5) == 1
-
-    def test_degree_identity_enforced(self):
-        with pytest.raises(ValueError):
-            TableRow(
-                weight_exprs=((0, 1), (0, 1), (1, 1), (1, 1)),
-                degree_expr=(2, 3),
-                index_expr=(0, 2),
-                source_label="unit",
-            )
-
-    def test_positivity_enforced(self):
-        with pytest.raises(ValueError):
-            TableRow(
-                weight_exprs=((1, -1), (0, 1), (1, 1), (1, 1)),
-                degree_expr=(3, 1),
-                index_expr=(0, 1),
-                source_label="unit",
-            )
+    def test_rejects_unknown_tag(self):
+        # a tag is one of the wire strings; "class7" would index past the classes
+        for origin in ["class7", "class0", "sporadic", 1, None]:
+            with pytest.raises(ValueError):
+                self.make(((0, 0, 0, 2, 2),), origin)

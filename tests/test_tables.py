@@ -19,28 +19,48 @@ class TestRowData:
         assert len(SERIES_ROWS) == 35
         assert len(SPORADIC_ROWS) == 63
 
+    def test_series_rows_positive_for_every_n(self):
+        # four weights positive at every n >= 1, and an index that never shrinks
+        for weight_exprs, (index_slope, index_intercept), label in SERIES_ROWS:
+            assert len(weight_exprs) == 4, label
+            assert all(slope >= 0 and slope + intercept >= 1 for slope, intercept in weight_exprs), label
+            assert index_slope >= 0 and index_slope + index_intercept >= 1, label
+
+    def test_constant_index_rows_ordered_by_n2(self):
+        # instantiate walks n up to the first ordered weights of such a row
+        for weight_exprs, (index_slope, _), label in SERIES_ROWS:
+            if index_slope == 0:
+                w = [slope * 2 + intercept for slope, intercept in weight_exprs]
+                assert w == sorted(w), label
+
+    def test_sporadic_rows_are_quintuples(self):
+        # ordered positive weights, an index in 1..7, and degree above a3
+        for weights, index, label in SPORADIC_ROWS:
+            assert len(weights) == 4 and weights[0] >= 1, label
+            assert list(weights) == sorted(weights), label
+            assert 1 <= index <= 7, label
+            assert sum(weights) - index > weights[3], label
+
     def test_sporadic_per_index_counts(self):
-        counts = Counter(row.index_at(1) for row in SPORADIC_ROWS)
+        counts = Counter(index for _, index, _ in SPORADIC_ROWS)
         assert dict(counts) == {1: 17, 2: 25, 3: 7, 4: 8, 5: 3, 6: 2, 7: 1}
 
     def test_sporadic_rows_pass_condition_suite(self):
-        for row in SPORADIC_ROWS:
-            q = Quintuple(*row.weights_at(1), row.degree_at(1))
-            assert quasismooth_divisibility(q).accepted, row
-            assert q.index == row.index_at(1)
+        for weights, index, label in SPORADIC_ROWS:
+            q = Quintuple(*weights, sum(weights) - index)
+            assert quasismooth_divisibility(q).accepted, label
 
     def test_series_rows_early_members_pass_condition_suite(self):
         # rows are stored in catalogue presentation order, not sorted order
-        for row in SERIES_ROWS:
+        for weight_exprs, (index_slope, index_intercept), label in SERIES_ROWS:
             for n in (1, 2, 3):
-                w = sorted(row.weights_at(n))
-                q = Quintuple(*w, row.degree_at(n))
-                assert q.index == row.index_at(n)
-                assert quasismooth_divisibility(q).accepted, (row, n)
+                w = sorted(slope * n + intercept for slope, intercept in weight_exprs)
+                q = Quintuple(*w, sum(w) - (index_slope * n + index_intercept))
+                assert quasismooth_divisibility(q).accepted, (label, n)
 
     def test_labels_present(self):
-        assert all(row.source_label for row in SERIES_ROWS)
-        assert all(row.source_label for row in SPORADIC_ROWS)
+        assert all(label for *_, label in SERIES_ROWS)
+        assert all(label for *_, label in SPORADIC_ROWS)
 
 
 class TestInstantiate:
@@ -87,7 +107,7 @@ def type_relations(row):
     """Each type relation of a row's weights at parameter n, as the linear
     equations (coefficient of n, constant) that must all vanish, for every
     assignment of the row's weight expressions to sorted positions."""
-    w, (p, q) = row.weight_exprs, row.index_expr
+    w, (p, q), _ = row
 
     def eq(k, *terms):  # sum(c * a_i) - k * I
         return (sum(c * w[i][0] for c, i in terms) - k * p, sum(c * w[i][1] for c, i in terms) - k * q)
@@ -110,7 +130,7 @@ class TestUntyped:
         # each relation pins n to at most one root, which lies at an index
         # the check above covers
         for row in SERIES_ROWS:
-            p, q = row.index_expr
+            p, q = row[1]
             if p == 0:
                 continue
             for eqs in type_relations(row):
