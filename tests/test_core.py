@@ -92,6 +92,10 @@ class TestSeries:
         ]:
             with pytest.raises(ValueError):
                 Series("class1", base, steps)
+        # the tag is one of the wire strings
+        for origin in ["class7", "class0", "sporadic", 1, None]:
+            with pytest.raises(ValueError):
+                self.make(((0, 0, 0, 2, 2),), origin)
         # in either order
         s = self.make(((0, 0, 0, 2, 2), (0, 0, 2, 0, 2)), "class1")
         assert s.steps == ((0, 0, 0, 2, 2), (0, 0, 2, 0, 2))
@@ -121,9 +125,3 @@ class TestSeries:
         s = self.make(((0, 0, 2, 0, 2), (0, 0, 0, 2, 2)), origin="class1")
         assert Series.from_dict(s.to_dict()) == s
         assert s.to_dict()["class"] == "class1"
-
-    def test_rejects_unknown_tag(self):
-        # a tag is one of the wire strings; "class7" would index past the classes
-        for origin in ["class7", "class0", "sporadic", 1, None]:
-            with pytest.raises(ValueError):
-                self.make(((0, 0, 0, 2, 2),), origin)
