@@ -86,7 +86,7 @@ two of its weights add up to at least 7 + 2v.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import gcd
 
@@ -99,19 +99,16 @@ PairChecks = tuple[tuple[tuple[int, int], bool], ...]
 TripleChecks = tuple[tuple[tuple[int, int, int], bool], ...]
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(namedtuple("ConditionReport", "quintuple accepted waived_pair", defaults=(None,))):
     """Verdict on one quintuple, with per-condition detail built on first read.
 
     ``accepted`` aggregates all conditions and is decided when the report is
-    made; the per-pair and per-triple detail, which only ``dpweights check``
+    made; ``waived_pair`` is the covered-edge family's admitted pair, or
+    None.  The per-pair and per-triple detail, which only ``dpweights check``
     prints, is built from the same per-pair helper when one of its fields is
-    first read.
+    first read, and cached in the instance dict: this record alone has no
+    ``__slots__``.
     """
-
-    quintuple: Quintuple
-    accepted: bool
-    waived_pair: tuple[int, int] | None = None  # covered-edge family admission
 
     @cached_property
     def _pairs(self) -> tuple[tuple[tuple[int, int], tuple[bool, bool | None, bool]], ...]:

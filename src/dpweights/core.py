@@ -1,15 +1,18 @@
-"""Shared domain types and exact integer arithmetic for the classifier."""
+"""The records every module shares: a weight quintuple and the answer for one index.
+
+Every record of the package is a ``namedtuple`` subclass, so it is a tuple
+of its fields: it compares, hashes and orders as that tuple.  Unlike
+``dataclasses``, which loads ``inspect`` and ``ast``, ``collections`` costs
+the import nothing, since ``argparse`` loads it anyway.  A record that checks
+its fields does so in ``__new__`` and routes ``_make`` (and so ``_replace``)
+through it.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .series import Series
+from collections import namedtuple
 
 
-@dataclass(frozen=True, order=True)
-class Quintuple:
+class Quintuple(namedtuple("Quintuple", "a0 a1 a2 a3 d")):
     """An ordered weight system (a0 <= a1 <= a2 <= a3) together with a degree d.
 
     The index a0+a1+a2+a3-d is always derived, never stored.  Construction
@@ -17,51 +20,52 @@ class Quintuple:
     system is a genuine candidate weight system.
     """
 
-    a0: int
-    a1: int
-    a2: int
-    a3: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        w = (self.a0, self.a1, self.a2, self.a3)
+    def __new__(cls, a0: int, a1: int, a2: int, a3: int, d: int) -> Quintuple:
+        w = (a0, a1, a2, a3)
         # exact type test: it also rejects bool, a subclass of int
-        if not (type(self.a0) is type(self.a1) is type(self.a2) is type(self.a3) is type(self.d) is int):
-            raise ValueError(f"weights and degree must be integers: {w} d={self.d}")
-        if any(x < 1 for x in w):
+        if not (type(a0) is type(a1) is type(a2) is type(a3) is type(d) is int):
+            raise ValueError(f"weights and degree must be integers: {w} d={d}")
+        if a0 < 1 or a1 < 1 or a2 < 1 or a3 < 1:
             raise ValueError(f"weights must be positive: {w}")
-        if not (self.a0 <= self.a1 <= self.a2 <= self.a3):
+        if not (a0 <= a1 <= a2 <= a3):
             raise ValueError(f"weights must be ordered: {w}")
-        if self.d <= self.a3:
-            raise ValueError(f"degree must exceed the top weight: d={self.d} a3={self.a3}")
-        if self.index < 1:
-            raise ValueError(f"index must be positive: {w} d={self.d}")
+        if d <= a3:
+            raise ValueError(f"degree must exceed the top weight: d={d} a3={a3}")
+        if a0 + a1 + a2 + a3 - d < 1:
+            raise ValueError(f"index must be positive: {w} d={d}")
+        return tuple.__new__(cls, (a0, a1, a2, a3, d))
+
+    @classmethod
+    def _make(cls, iterable) -> Quintuple:
+        # namedtuple's own _make, which _replace calls, would skip the checks
+        return cls(*iterable)
 
     @property
     def weights(self) -> tuple[int, int, int, int]:
-        return (self.a0, self.a1, self.a2, self.a3)
+        return self[:4]
 
     @property
     def index(self) -> int:
         return self.a0 + self.a1 + self.a2 + self.a3 - self.d
 
     def astuple(self) -> tuple[int, int, int, int, int]:
-        return (self.a0, self.a1, self.a2, self.a3, self.d)
+        return tuple(self)
 
     def __str__(self) -> str:
         return f"({self.a0},{self.a1},{self.a2},{self.a3},{self.d})"
 
 
-@dataclass(frozen=True)
-class Classification:
-    """The complete answer for one index: series families plus sporadic cases."""
+class Classification(namedtuple("Classification", "index two_param one_param sporadic")):
+    """The complete answer for one index: series families plus sporadic cases.
 
-    index: int
-    two_param: tuple[Series, ...]
-    one_param: tuple[Series, ...]
-    sporadic: tuple[Quintuple, ...]
+    ``two_param`` and ``one_param`` are tuples of ``Series``, ``sporadic`` a
+    tuple of ``Quintuple``.
+    """
+
+    __slots__ = ()
 
     @property
-    def all_series(self) -> tuple[Series, ...]:
+    def all_series(self) -> tuple:
         return self.two_param + self.one_param
-

@@ -10,7 +10,7 @@ Two cheap necessary criteria are evaluated exactly:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -18,12 +18,10 @@ from .conditions import PAIRS
 from .core import Quintuple
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    k_squared: Fraction
-    group_order: int
-    gmsy: bool
-    spotti: bool
+class ObstructionReport(namedtuple("ObstructionReport", "k_squared group_order gmsy spotti")):
+    """K^2 as a Fraction, the largest quotient order, and the two verdicts."""
+
+    __slots__ = ()
 
 
 def k_squared(q: Quintuple) -> Fraction:

@@ -7,7 +7,7 @@ record of the class table ``conditions._CLASSES``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
 
 from .conditions import _CLASSES, cond_iv, detect_class, well_formed
@@ -20,8 +20,7 @@ _TAGS = ("tableSeries", "class1", "class2", "class3", "class4", "class5", "class
 StepVector = tuple[int, int, int, int, int]
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(namedtuple("Series", "origin base steps")):
     """A parametric family of quintuples: base plus one or two step vectors.
 
     ``origin`` is one of the tags in ``_TAGS``: ``"class1"`` .. ``"class6"``
@@ -38,34 +37,38 @@ class Series:
     ``make_series`` all apply that one rule, ``_class_steps``.
     """
 
-    origin: str
-    base: Quintuple
-    steps: tuple[StepVector, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, origin: str, base: Quintuple, steps: tuple[StepVector, ...]) -> Series:
         # exact type test: a bool entry would reach the wire format as true or false
-        if any(type(x) is not int for step in self.steps for x in step):
-            raise ValueError(f"step entries must be integers: {[list(s) for s in self.steps]}")
-        if self.origin not in _TAGS:
-            raise ValueError(f"unknown series tag {self.origin!r}")
-        n = _TAGS.index(self.origin)
+        if any(type(x) is not int for step in steps for x in step):
+            raise ValueError(f"step entries must be integers: {[list(s) for s in steps]}")
+        if origin not in _TAGS:
+            raise ValueError(f"unknown series tag {origin!r}")
+        n = _TAGS.index(origin)
         if n:
-            expected = _class_steps(n, self.base)
-            if sorted(self.steps) != sorted(expected):
-                raise ValueError(f"class-{n} series through {self.base} has steps {list(expected)}, got {list(self.steps)}")
-            return
-        if not 1 <= len(self.steps) <= 2:
-            raise ValueError(f"a series has one or two step vectors, got {len(self.steps)}")
-        for step in self.steps:
+            expected = _class_steps(n, base)
+            if sorted(steps) != sorted(expected):
+                raise ValueError(f"class-{n} series through {base} has steps {list(expected)}, got {list(steps)}")
+            return tuple.__new__(cls, (origin, base, steps))
+        if not 1 <= len(steps) <= 2:
+            raise ValueError(f"a series has one or two step vectors, got {len(steps)}")
+        for step in steps:
             if len(step) != 5 or any(x < 0 for x in step):
                 raise ValueError(f"malformed step vector {step}")
             if sum(step[:4]) != step[4] or step[4] == 0:
                 raise ValueError(f"degree entry of {step} must equal the sum of its weight entries")
-        if len(self.steps) == 2:
+        if len(steps) == 2:
             # degree entries are positive: dependent exactly when s*t[4] == t*s[4]
-            s, t = self.steps
+            s, t = steps
             if all(s[i] * t[4] == t[i] * s[4] for i in range(4)):
                 raise ValueError(f"series steps {s} and {t} are linearly dependent")
+        return tuple.__new__(cls, (origin, base, steps))
+
+    @classmethod
+    def _make(cls, iterable) -> Series:
+        # namedtuple's own _make, which _replace calls, would skip the checks
+        return cls(*iterable)
 
     def member(self, *params: int) -> Quintuple:
         """The member at the given non-negative parameters (must be ordered)."""
@@ -119,15 +122,12 @@ def make_series(class_number: int, rep: Quintuple) -> Series:
     By Lemma B (``conditions``) that is a member of the class that passes
     (iv) and is well formed.  ``_class_steps`` checks the input once and
     gives the steps, which meet every rule of ``Series`` by construction, so
-    ``__post_init__`` is skipped.  The tag is looked up only after that
-    check has rejected a number outside 1..6: ``_TAGS[-1]`` is ``"class6"``.
+    the checks of ``Series.__new__`` are skipped.  The tag is looked up only
+    after that check has rejected a number outside 1..6: ``_TAGS[-1]`` is
+    ``"class6"``.
     """
     steps = _class_steps(class_number, rep)
-    series = object.__new__(Series)
-    object.__setattr__(series, "origin", _TAGS[class_number])
-    object.__setattr__(series, "base", rep)
-    object.__setattr__(series, "steps", steps)
-    return series
+    return tuple.__new__(Series, (_TAGS[class_number], rep, steps))
 
 
 def _shifted(base: tuple[int, ...], step: StepVector, count: int) -> tuple[int, ...]:

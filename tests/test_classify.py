@@ -103,7 +103,7 @@ class TestClassifyIndex:
         keys = [canonical_key(s) for s in classified(index).all_series]
         assert [canonical_key_by_walk(s) for s in classified(index).all_series] == keys
         assert len(keys) == len(set(keys))
-        # class series are built without __post_init__; the checked build agrees
+        # class series are built without Series.__new__; the checked build agrees
         for s in classified(index).all_series:
             if s.origin != "tableSeries":
                 assert Series(s.origin, s.base, s.steps) == s

@@ -1,11 +1,14 @@
-"""Domain type invariants: Quintuple and Series."""
+"""Domain type invariants: Quintuple and Series, and the repr, immutability
+and hashing of every record."""
 from __future__ import annotations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpweights.core import Quintuple
+from dpweights.conditions import quasismooth_divisibility
+from dpweights.core import Classification, Quintuple
+from dpweights.obstructions import obstruction_report
 from dpweights.series import Series
 
 
@@ -37,6 +40,43 @@ class TestQuintuple:
 
     def test_ordering_is_lexicographic(self):
         assert Quintuple(1, 1, 1, 1, 3) < Quintuple(1, 1, 2, 3, 6)
+
+    def test_record_contract(self):
+        q = Quintuple(1, 2, 3, 5, 10)
+        assert repr(q) == "Quintuple(a0=1, a1=2, a2=3, a3=5, d=10)"
+        with pytest.raises(AttributeError):
+            q.a0 = 2
+        assert q == Quintuple(1, 2, 3, 5, 10) and hash(q) == hash(Quintuple(1, 2, 3, 5, 10))
+
+    def test_replace_applies_the_checks(self):
+        # _replace builds through _make, which must not skip the checks
+        q = Quintuple(1, 2, 3, 5, 10)
+        assert q._replace(d=9) == Quintuple(1, 2, 3, 5, 9)
+        with pytest.raises(ValueError):
+            q._replace(a0=0)
+        with pytest.raises(ValueError):
+            Quintuple._make((2, 1, 3, 5, 10))
+
+    def test_report_records(self):
+        report = quasismooth_divisibility(Quintuple(1, 2, 3, 5, 10))
+        assert repr(report) == (
+            "ConditionReport(quintuple=Quintuple(a0=1, a1=2, a2=3, a3=5, d=10), accepted=True, waived_pair=None)"
+        )
+        obstruction = obstruction_report(Quintuple(1, 2, 3, 5, 10))
+        assert repr(obstruction) == "ObstructionReport(k_squared=Fraction(1, 3), group_order=3, gmsy=False, spotti=False)"
+        c = Classification(1, (), (), (Quintuple(1, 1, 1, 1, 3),))
+        assert repr(c) == (
+            "Classification(index=1, two_param=(), one_param=(), "
+            "sporadic=(Quintuple(a0=1, a1=1, a2=1, a3=1, d=3),))"
+        )
+        for record, field in [(report, "accepted"), (obstruction, "gmsy"), (c, "index")]:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        # the detail is cached on first read and the report stays hashable
+        assert report.wf_pairs is report.wf_pairs
+        assert hash(report) == hash(quasismooth_divisibility(Quintuple(1, 2, 3, 5, 10)))
+        assert hash(obstruction) == hash(obstruction_report(Quintuple(1, 2, 3, 5, 10)))
+        assert hash(c) == hash(Classification(1, (), (), (Quintuple(1, 1, 1, 1, 3),)))
 
     @given(
         st.lists(st.integers(1, 60), min_size=4, max_size=4),
@@ -120,6 +160,25 @@ class TestSeries:
                 ((False, False, True, False, True), (False, False, False, True, True)),
             )
         assert Series("class1", Quintuple(1, 1, 1, 1, 2), ((0, 0, 1, 0, 1), (0, 0, 0, 1, 1)))
+
+    def test_record_contract(self):
+        s = self.make(((0, 0, 2, 0, 2),))
+        assert repr(s) == (
+            "Series(origin='tableSeries', base=Quintuple(a0=1, a1=2, a2=3, a3=3, d=6), steps=((0, 0, 2, 0, 2),))"
+        )
+        with pytest.raises(AttributeError):
+            s.origin = "class1"
+        assert s == self.make(((0, 0, 2, 0, 2),)) and hash(s) == hash(self.make(((0, 0, 2, 0, 2),)))
+
+    def test_make_applies_the_checks(self):
+        # _make, and _replace through it, apply the constructor's checks
+        s = self.make(((0, 0, 2, 0, 2),))
+        assert Series._make(tuple(s)) == s
+        for fields in [("class7", s.base, s.steps), ("tableSeries", s.base, ((0, 0, 1, 0, 2),))]:
+            with pytest.raises(ValueError):
+                Series._make(fields)
+        with pytest.raises(ValueError):
+            s._replace(origin="class1")
 
     def test_dict_roundtrip(self):
         s = self.make(((0, 0, 2, 0, 2), (0, 0, 0, 2, 2)), origin="class1")

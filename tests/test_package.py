@@ -83,9 +83,12 @@ def test_readme_cli_block_runs():
 
 
 def test_cli_runs_without_site_packages():
-    # -I -S: no site-packages and no PYTHONPATH, so only the stdlib and src
+    # -I -S: no site-packages and no PYTHONPATH, so only the stdlib and src;
+    # the script also names, on stderr, the heavy modules the import loaded:
+    # none, since the records are namedtuples and nothing needs typing
     script = (
         "import sys; sys.path.insert(0, sys.argv[1]); from dpweights.cli import main; "
+        "print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)), file=sys.stderr); "
         "sys.exit(main(['classify', '--index', '3', '--format', 'json']))"
     )
     done = subprocess.run(
@@ -94,6 +97,7 @@ def test_cli_runs_without_site_packages():
     )
     golden = json.loads((ROOT / "tests" / "golden_classify_sha256.json").read_text())
     assert hashlib.sha256(done.stdout).hexdigest() == golden["3"]
+    assert done.stderr.decode().split() == []
 
 
 def test_src_imports_are_used():
@@ -154,8 +158,7 @@ def test_oracle_shares_no_classifier_helper():
 
 def test_src_imports_at_module_level_only():
     # no function imports a module lazily, and core.py, which the other
-    # modules build on, imports nothing from the package at run time: its
-    # only package import, of Series for annotations, is under TYPE_CHECKING
+    # modules build on, imports nothing from the package
     for path in sorted((ROOT / "src" / "dpweights").glob("*.py")):
         tree = ast.parse(path.read_text())
         for fn in ast.walk(tree):
@@ -163,14 +166,9 @@ def test_src_imports_at_module_level_only():
                 lazy = [n.lineno for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))]
                 assert not lazy, (path.name, fn.name, lazy)
     tree = ast.parse((ROOT / "src" / "dpweights" / "core.py").read_text())
-    runtime = [
-        node for node in tree.body
-        if not (isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING")
-    ]
     package = [
         node.lineno
-        for top in runtime
-        for node in ast.walk(top)
+        for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("dpweights"))
         or isinstance(node, ast.Import) and any(alias.name.startswith("dpweights") for alias in node.names)
     ]
