@@ -105,16 +105,6 @@ def _emit_text(c: Classification, bound: int | None) -> str:
     return "\n".join(out) + "\n"
 
 
-def classification_payload(c: Classification) -> dict:
-    """JSON wire format with stable key order and sorted lists."""
-    return {
-        "index": c.index,
-        "two_parameter_series": [s.to_dict() for s in c.two_param],
-        "one_parameter_series": [s.to_dict() for s in c.one_param],
-        "sporadic": [list(q.astuple()) for q in c.sporadic],
-    }
-
-
 def _json_block(items: list[str], pad: str, brackets: str) -> str:
     """A JSON array or object laid out as ``json.dumps(indent=2)`` does.
 
@@ -148,14 +138,17 @@ _SERIES_JSON = {n: _json_series_template(n) for n in (1, 2)}
 
 def _json_series(s: Series) -> str:
     """One series as it sits in a top-level list, at depth two."""
-    return _SERIES_JSON[len(s.steps)] % (*s.base.astuple(), *sum(s.steps, ()), s.origin)
+    return _SERIES_JSON[len(s.steps)] % (*s.base, *sum(s.steps, ()), s.origin)
 
 
 def _emit_json(c: Classification) -> str:
-    """``json.dumps(classification_payload(c), indent=2)`` plus a newline.
+    """The JSON wire format, laid out as ``json.dumps(payload, indent=2)`` plus a newline.
 
-    The payload's shape is fixed, so the text is joined directly instead of
-    going through the pure-Python encoder that ``indent`` selects.
+    The payload holds, in this key order, the index, the two- and
+    one-parameter series as ``Series.to_dict`` gives them, and the sporadic
+    quintuples as lists.  Its shape is fixed, so the text is joined directly
+    instead of going through the pure-Python encoder that ``indent``
+    selects; the tests build the payload and compare with ``json.dumps``.
     """
     return _json_block([
         f'"index": {c.index}',

@@ -12,7 +12,11 @@ Two deliberately independent formulations are implemented:
   must contain.
 
 Both decide the same predicate; the equivalence is exercised exhaustively in
-the test suite.
+the test suite.  The divisibility verdict (``_accepted``) decides every
+condition in one pass over the pairs; the per-condition detail that ``dpweights
+check`` prints comes from ``_pair_conditions`` alone, and both ask every
+monomial question through ``_reaches``.  The tests pin the verdict to the
+conjunction of that detail, the covered-edge family included.
 
 One parametric family needs special handling.  In (7, 2v, 3v, (9v-7)/2) of
 degree 9v with v = 3 mod 4 and prime to 7, the two even weights have gcd 2
@@ -94,6 +98,8 @@ from .core import Quintuple
 
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 TRIPLES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+# each pair (i, j) of PAIRS with the other two indices (k, l)
+_PAIRS_KL = tuple((i, j, *(x for x in range(4) if x not in (i, j))) for i, j in PAIRS)
 
 PairChecks = tuple[tuple[tuple[int, int], bool], ...]
 TripleChecks = tuple[tuple[tuple[int, int, int], bool], ...]
@@ -112,8 +118,8 @@ class ConditionReport(namedtuple("ConditionReport", "quintuple accepted waived_p
 
     @cached_property
     def _pairs(self) -> tuple[tuple[tuple[int, int], tuple[bool, bool | None, bool]], ...]:
-        w, d = self.quintuple.weights, self.quintuple.d
-        return tuple(((i, j), _pair_conditions(w, d, i, j, self.waived_pair)) for i, j in PAIRS)
+        *w, d = self.quintuple
+        return tuple(((i, j), _pair_conditions(w, d, i, j, k, l, self.waived_pair)) for i, j, k, l in _PAIRS_KL)
 
     @cached_property
     def wf_pairs(self) -> PairChecks:
@@ -144,11 +150,16 @@ class ConditionReport(namedtuple("ConditionReport", "quintuple accepted waived_p
 
 
 def _well_formed_ints(a0: int, a1: int, a2: int, a3: int, d: int) -> bool:
-    """Every weight triple coprime and every pairwise gcd dividing d."""
+    """Every weight triple coprime and every pairwise gcd dividing d.
+
+    gcd(g, x*y) = 1 exactly when gcd(g, x) = gcd(g, y) = 1, so the two
+    triples holding a0 and a1 are coprime iff gcd(g01, a2*a3) = 1, and the
+    two holding a2 and a3 iff gcd(g23, a0*a1) = 1: eight gcds, not ten.
+    """
+    g01, g23 = gcd(a0, a1), gcd(a2, a3)
     return not (
-        gcd(a0, a1, a2) != 1 or gcd(a0, a1, a3) != 1 or gcd(a0, a2, a3) != 1
-        or gcd(a1, a2, a3) != 1 or d % gcd(a0, a1) or d % gcd(a0, a2) or d % gcd(a0, a3)
-        or d % gcd(a1, a2) or d % gcd(a1, a3) or d % gcd(a2, a3)
+        gcd(g01, a2 * a3) != 1 or gcd(g23, a0 * a1) != 1 or d % g01 or d % g23
+        or d % gcd(a0, a2) or d % gcd(a0, a3) or d % gcd(a1, a2) or d % gcd(a1, a3)
     )
 
 
@@ -163,12 +174,12 @@ def _cond_iv_ints(a0: int, a1: int, a2: int, a3: int, d: int) -> bool:
 
 def well_formed(q: Quintuple) -> bool:
     """Pairwise gcds divide the degree and every weight triple is coprime."""
-    return _well_formed_ints(q.a0, q.a1, q.a2, q.a3, q.d)
+    return _well_formed_ints(*q)
 
 
 def cond_iv(q: Quintuple) -> bool:
     """Every weight divides d - aj for some weight aj."""
-    return _cond_iv_ints(q.a0, q.a1, q.a2, q.a3, q.d)
+    return _cond_iv_ints(*q)
 
 
 def covered_edge_pair(q: Quintuple) -> tuple[int, int] | None:
@@ -179,11 +190,11 @@ def covered_edge_pair(q: Quintuple) -> tuple[int, int] | None:
     (9v-7)/2, whose pure-pair checks the module docstring waives.  When 7
     divides v their gcd is 14, not 2, and every weight triple has gcd 7.
     """
-    w, d = q.weights, q.d
+    *w, d = q
     if d % 9 or d % 2 == 0:
         return None
     v = d // 9
-    if v % 4 != 3 or v % 7 == 0 or w != tuple(sorted((7, 2 * v, 3 * v, (9 * v - 7) // 2))):
+    if v % 4 != 3 or v % 7 == 0 or w != sorted((7, 2 * v, 3 * v, (9 * v - 7) // 2)):
         return None
     return (w.index(2 * v), w.index((9 * v - 7) // 2))
 
@@ -211,9 +222,9 @@ def _triple_conditions(w: tuple[int, int, int, int]) -> list[bool]:
 
 
 def _pair_conditions(
-    w: tuple[int, int, int, int], d: int, i: int, j: int, waived: tuple[int, int] | None
+    w: list[int], d: int, i: int, j: int, k: int, l: int, waived: tuple[int, int] | None
 ) -> tuple[bool, bool | None, bool]:
-    """Conditions (i), (v) and (vi) on the weight pair (i, j).
+    """Conditions (i), (v) and (vi) on the weight pair (i, j), with k and l the other two.
 
     (v) is None for a coprime pair, which it does not concern.  The entries
     record effective acceptance: the covered-edge family's even pair passes
@@ -227,7 +238,6 @@ def _pair_conditions(
     if pure:
         vi = True
     else:
-        k, l = (x for x in range(4) if x not in (i, j))
         vi = _reaches(ai, aj, d - w[k]) and _reaches(ai, aj, d - w[l])
     waive = (i, j) == waived
     return waive or d % g == 0, ((pure or waive) if g > 1 else None), vi
@@ -239,18 +249,33 @@ def quasismooth_divisibility(q: Quintuple) -> ConditionReport:
     The verdict stops at the first failed condition; the per-pair detail is
     built only when read.
     """
-    w, d = q.weights, q.d
+    *w, d = q
     waived = covered_edge_pair(q)
     return ConditionReport(q, _accepted(w, d, waived), waived)
 
 
-def _accepted(w: tuple[int, int, int, int], d: int, waived: tuple[int, int] | None) -> bool:
-    """Every condition holds, decided from the same helpers as the detail."""
-    if not (all(_triple_conditions(w)) and _cond_iv_ints(*w, d)):
+def _accepted(w: list[int], d: int, waived: tuple[int, int] | None) -> bool:
+    """Every condition holds, decided in one pass over the pairs.
+
+    Per pair (i, j) it tests (i), then asks for the pure monomial, and only
+    without one fails a shared-factor pair (v) or asks for both cross
+    monomials (vi); the waived pair skips (i) and (v).  Every monomial
+    question goes through ``_reaches``, as in ``_pair_conditions``, which
+    alone builds the detail that ``check`` prints; the tests pin this
+    verdict to the conjunction of that detail.
+    """
+    a0, a1, a2, a3 = w
+    # the four triples through two gcds, as in _well_formed_ints
+    if gcd(a0, a1, a2 * a3) != 1 or gcd(a2, a3, a0 * a1) != 1 or not _cond_iv_ints(a0, a1, a2, a3, d):
         return False
-    for i, j in PAIRS:
-        wf, v, vi = _pair_conditions(w, d, i, j, waived)
-        if not wf or v is False or not vi:
+    for i, j, k, l in _PAIRS_KL:
+        ai, aj = w[i], w[j]
+        g = gcd(ai, aj)
+        if d % g and (i, j) != waived:
+            return False
+        if _reaches(ai, aj, d):
+            continue
+        if g > 1 and (i, j) != waived or not (_reaches(ai, aj, d - w[k]) and _reaches(ai, aj, d - w[l])):
             return False
     return True
 
@@ -370,7 +395,8 @@ def detect_class(q: Quintuple) -> int | None:
     Lemma B (module docstring) the classes cover the typed quintuples that
     pass (iv) and are well formed.
     """
-    a0, a1, a2, a3, i = q.a0, q.a1, q.a2, q.a3, q.index
+    a0, a1, a2, a3, d = q
+    i = a0 + a1 + a2 + a3 - d
     for n, (relation, _, _) in enumerate(_CLASSES, 1):
         if relation(a0, a1, a2, a3, i):
             return n
@@ -379,7 +405,11 @@ def detect_class(q: Quintuple) -> int | None:
 
 def is_solid(q: Quintuple) -> bool:
     """Pure-power covered, well formed and in a series class (Lemma B)."""
-    return cond_iv(q) and well_formed(q) and detect_class(q) is not None
+    a0, a1, a2, a3, d = q
+    return (
+        _cond_iv_ints(a0, a1, a2, a3, d) and _well_formed_ints(a0, a1, a2, a3, d)
+        and detect_class(q) is not None
+    )
 
 
 def is_valid(q: Quintuple) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import lcm
 
-from .conditions import _CLASSES, cond_iv, detect_class, well_formed
+from .conditions import _CLASSES, _cond_iv_ints, _well_formed_ints, detect_class
 from .core import Quintuple
 
 
@@ -107,12 +107,13 @@ def _class_steps(class_number: int, rep: Quintuple) -> tuple[StepVector, ...]:
     The class test comes first, so a number outside 1..6 raises before it
     could index the table.
     """
+    a0, a1, a2, a3, d = rep
     if detect_class(rep) != class_number:
         raise ValueError(f"{rep} does not lie in series class {class_number}")
-    if not (cond_iv(rep) and well_formed(rep)):
+    if not (_cond_iv_ints(a0, a1, a2, a3, d) and _well_formed_ints(a0, a1, a2, a3, d)):
         raise ValueError(f"series representative {rep} is not solid")
     _, modulus_weights, shapes = _CLASSES[class_number - 1]
-    m = lcm(*modulus_weights(rep.a0, rep.a1, rep.a2, rep.a3, rep.index))
+    m = lcm(*modulus_weights(a0, a1, a2, a3, a0 + a1 + a2 + a3 - d))
     return tuple([(m * a, m * b, m * c, m * e, m * f) for a, b, c, e, f in shapes])
 
 

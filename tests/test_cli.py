@@ -17,13 +17,23 @@ import pytest
 
 from dpweights import cli
 from dpweights.classify import classify_index
-from dpweights.cli import classification_payload, main, render
+from dpweights.cli import main, render
 from dpweights.core import Classification, Quintuple
 from dpweights.oracle import brute_force
 
 # sha256 over exit code and stdout of `check` on check_inputs(), recorded
 # before the pair conditions moved to their closed form
 CHECK_SHA256 = "4d8f5bb7d8a70252a89b9f4e5e3e5cb34e63a6d563c660a57c08d8af9be8a998"
+
+
+def classification_payload(c: Classification) -> dict:
+    """JSON wire format with stable key order and sorted lists."""
+    return {
+        "index": c.index,
+        "two_parameter_series": [s.to_dict() for s in c.two_param],
+        "one_parameter_series": [s.to_dict() for s in c.one_param],
+        "sporadic": [list(q.astuple()) for q in c.sporadic],
+    }
 
 
 def check_inputs() -> list[tuple[int, ...]]:

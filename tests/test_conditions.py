@@ -28,6 +28,14 @@ from dpweights.core import Quintuple
 from dpweights.series import contains, make_series
 
 
+def detail_verdict(r) -> bool:
+    """The conjunction of a report's per-condition detail, built on read.
+
+    The one-pass verdict ``accepted`` must equal it.
+    """
+    return r.well_formed and r.cond_iv and all(ok for _, ok in r.cond_v) and all(ok for _, ok in r.cond_vi)
+
+
 def reaches_by_search(ai: int, aj: int, r: int) -> bool:
     """The definitional pair test: some b in [0, r // aj] with ai | r - aj*b."""
     return any((r - aj * b) % ai == 0 for b in range(r // aj + 1))
@@ -115,11 +123,7 @@ class TestForms:
         for q in quintuples_up_to(20, 8):
             r = quasismooth_divisibility(q)
             assert quasismooth_monomial(q) == r.accepted, q
-            # the eager verdict is the conjunction of the detail built on read
-            detail = (
-                r.well_formed and r.cond_iv and all(ok for _, ok in r.cond_v) and all(ok for _, ok in r.cond_vi)
-            )
-            assert r.accepted == detail, q
+            assert r.accepted == detail_verdict(r), q
 
     @given(
         st.lists(st.integers(1, 40), min_size=4, max_size=4),
@@ -194,7 +198,12 @@ class TestCoveredEdge:
             q = Quintuple(*sorted((7, 2 * v, 3 * v, (9 * v - 7) // 2)), 9 * v)
             assert (covered_edge_pair(q) is not None) == (v % 7 != 0) and not well_formed(q), v
             assert detect_types(q) == frozenset() and detect_class(q) is None, v
-            accepted += quasismooth_divisibility(q).accepted
+            # the waiver branch of the one-pass verdict: it must skip (i) and
+            # (v) on the even pair, and agree with the monomial form and the detail
+            r = quasismooth_divisibility(q)
+            assert r.accepted == (v % 7 != 0) == quasismooth_monomial(q), v
+            assert r.accepted == detail_verdict(r), v
+            accepted += r.accepted
             assert not is_valid(q) and not is_solid(q), v
         assert accepted > 80  # every v prime to 7
 
