@@ -75,7 +75,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .conditions import _cond_iv_ints, _well_formed_ints, is_solid, quasismooth_divisibility
+from .conditions import _CLASSES, _cond_iv_ints, _well_formed_ints, detect_class, is_solid, quasismooth_divisibility
 from .core import Classification, Quintuple
 from .series import Series, canonical_key, contains, expand, make_series
 from .tables import instantiate
@@ -143,6 +143,64 @@ def _type2_window(a0: int, a1: int, k: int) -> list[int]:
         if _cond_iv_ints(a0, a1, a2, a2 + k, 2 * (a2 + k))
         and _well_formed_ints(a0, a1, a2, a2 + k, 2 * (a2 + k))
     ]
+
+
+def _reduce(q: tuple[int, int, int, int, int]) -> tuple[int, int, int, int, int] | None:
+    """The quintuple moved by its class steps into its class window, or None.
+
+    Let q lie in class c with index I, and let m be the lcm of the class's
+    modulus weights in ``conditions._CLASSES``.  The class steps are m times
+    its step shapes, and the windows ``enumerate_class`` walks are one period
+    of them:
+
+    * class 1: a2 in [a1, a1 + m), then a3 in [a2, a2 + m);
+    * classes 2 and 3: a3 in [a2, a2 + m);
+    * classes 4 to 6: a2 in [a1, a1 + m), with a3 - a2 fixed.
+
+    ``_reduce`` moves each coordinate into its window in that order, a3 with
+    a2 in classes 4 to 6, and returns a plain tuple.  A quintuple is a member
+    of an emitted class series exactly when ``_reduce`` gives that series'
+    base.  The proof uses only that each window is one period and that the
+    steps are non-negative; it needs neither solidity nor Lemma A.
+
+    * The steps keep what the reduction reads.  They move a2 and a3 only and
+      keep I, since each degree entry is the sum of its weight entries.  So
+      they keep m, whose weights are a0 and a1, a2 in classes 2 and 3 (which
+      move a3 alone) and I - a0 in class 6.  Between ordered quintuples they
+      keep the class too.  The relations of classes 1, 4 and 5 read a0, a1
+      and I alone; class 6 reads a3 - a2 besides, which its steps keep.  The
+      relations of classes 2 and 3 read a2: class 1, whose steps move it,
+      comes before them in the detection order, their own steps leave it,
+      and in classes 4 to 6 they hold at no ordered point, since there
+      I < a0 + a1 (I is a0 + a1/2, a0/2 + a1 or (a0 + a1)/2) while they need
+      I = a0 + a2 or a1 + a2, at least a0 + a1.
+    * A member is reduced onto its base.  Let q be b plus x and y times the
+      steps of the series through the emitted base b, with x, y >= 0.  Then
+      q has b's class and modulus.  The a2 of q is b's plus x*m (class 1 and
+      classes 4 to 6), and b's lies in the window, which holds one value of
+      each residue mod m, so the reduction subtracts x*m; the same holds for
+      a3 after it.  Hence ``_reduce(q) == b``.
+    * A quintuple reduced onto a base is a member.  Each coordinate starts at
+      or above the low end of its window (q is ordered, and a3 >= a2 holds
+      after a2 moves), so the reduction subtracts non-negative multiples of
+      the steps, keeping the class and m.  If the result is an emitted base
+      b, whose series steps are m times the same shapes, q is b plus those
+      multiples: a member.
+    """
+    c = detect_class(q)
+    if c is None:
+        return None
+    a0, a1, a2, a3, d = q
+    i = a0 + a1 + a2 + a3 - d
+    m = lcm(*_CLASSES[c - 1][1](a0, a1, a2, a3, i))
+    if c == 1 or c >= 4:
+        t = (a2 - a1) // m * m
+        a2 -= t
+        if c >= 4:
+            a3 -= t
+    if c <= 3:
+        a3 -= (a3 - a2) // m * m
+    return (a0, a1, a2, a3, a0 + a1 + a2 + a3 - i)
 
 
 def enumerate_class(class_number: int, index: int) -> list[Series]:

@@ -28,7 +28,7 @@ import json
 import sys
 from functools import cache
 
-from .classify import classify_index, expand_classification
+from .classify import _reduce, classify_index, expand_classification
 from .conditions import (
     detect_class,
     detect_types,
@@ -234,6 +234,24 @@ def _fmt_bool(flag: bool) -> str:
     return "true" if flag else "false"
 
 
+def _table_covered(c: Classification, q: Quintuple) -> bool:
+    """Whether q is a sporadic quintuple of ``c`` or a member of one of its series.
+
+    A class series holds q exactly when ``_reduce(q)`` is its base (proved
+    in ``_reduce``), so only the table series are scanned with ``contains``.
+    """
+    if q in c.sporadic:
+        return True
+    reduced = _reduce(q)
+    for s in c.all_series:
+        if s.origin == "tableSeries":
+            if contains(s, q):
+                return True
+        elif s.base == reduced:
+            return True
+    return False
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     weights = sorted((args.a0, args.a1, args.a2, args.a3))
     if args.degree is not None:
@@ -247,10 +265,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     types = detect_types(q)
     cls = detect_class(q)
 
-    classification = classify_index(q.index)
-    covered = q in set(classification.sporadic) or any(
-        contains(s, q) for s in classification.all_series
-    )
+    covered = _table_covered(classify_index(q.index), q)
 
     def detail(checks) -> str:
         """Each pair or triple as a0a1:pass or a0a1a2:FAIL."""

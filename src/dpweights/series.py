@@ -153,25 +153,39 @@ def expand(series: Series, bound: int) -> list[Quintuple]:
 
 
 def contains(series: Series, q: Quintuple) -> bool:
-    """Whether q is a member of the series at some non-negative parameters."""
-    diff = tuple(t - b for t, b in zip(q.astuple(), series.base.astuple()))
-    if any(x < 0 for x in diff):
+    """Whether q is a member of the series at some non-negative parameters.
+
+    The records are read as the tuples they are, unpacked once.
+    """
+    a0, a1, a2, a3, d = q
+    _, base, steps = series
+    b0, b1, b2, b3, bd = base
+    x0, x1, x2, x3, xd = a0 - b0, a1 - b1, a2 - b2, a3 - b3, d - bd
+    if x0 < 0 or x1 < 0 or x2 < 0 or x3 < 0 or xd < 0:
         return False
     # every step's degree entry is positive (Series enforces it), so it is
     # the pivot; the floor divisions are exact when a solution exists, and
     # comparing all five coordinates rejects every other case
-    s1 = series.steps[0]
-    if len(series.steps) == 1:
-        x = diff[4] // s1[4]
-        return all(diff[i] == x * s1[i] for i in range(5))
+    s = steps[0]
+    s0, s1, s2, s3, sd = s
+    if len(steps) == 1:
+        x = xd // sd
+        return x0 == x * s0 and x1 == x * s1 and x2 == x * s2 and x3 == x * s3 and xd == x * sd
     # independent steps have a non-zero 2x2 minor against the degree column,
     # and Cramer's rule on it gives the only candidate parameters (x, y)
-    s2 = series.steps[1]
-    i = next(i for i in range(4) if s1[i] * s2[4] != s1[4] * s2[i])
-    det = s1[i] * s2[4] - s1[4] * s2[i]
-    x = (diff[i] * s2[4] - diff[4] * s2[i]) // det
-    y = (s1[i] * diff[4] - s1[4] * diff[i]) // det
-    return x >= 0 and y >= 0 and all(diff[k] == x * s1[k] + y * s2[k] for k in range(5))
+    t = steps[1]
+    t0, t1, t2, t3, td = t
+    diff = (x0, x1, x2, x3)
+    for i in range(4):
+        det = s[i] * td - sd * t[i]
+        if det:
+            break
+    x = (diff[i] * td - xd * t[i]) // det
+    y = (s[i] * xd - sd * diff[i]) // det
+    return (
+        x >= 0 and y >= 0 and x0 == x * s0 + y * t0 and x1 == x * s1 + y * t1
+        and x2 == x * s2 + y * t2 and x3 == x * s3 + y * t3 and xd == x * sd + y * td
+    )
 
 
 def canonical_key(series: Series) -> tuple:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from dpweights.classify import (
     _class6_a2,
     _class6_window,
+    _reduce,
     _type1_a3,
     _type1_window,
     classify_index,
@@ -159,7 +160,8 @@ class TestEnumerateClass:
     @settings(max_examples=1000, derandomize=True, deadline=None)
     def test_far_members_stay_in_class_and_solid(self, drawn, x, y):
         # members far past any enumerated range keep the class and solidity,
-        # and pass the verdict the self-check applies to the bases
+        # pass the verdict the self-check applies to the bases, and reduce
+        # onto their series' base
         n, s = drawn
         vals = list(s.base.astuple())
         for p, step in zip((x, y), s.steps):
@@ -168,6 +170,7 @@ class TestEnumerateClass:
         q = Quintuple(*vals)
         assert detect_class(q) == n and is_solid(q), (s, q)
         assert quasismooth_divisibility(q).accepted, (s, q)
+        assert _reduce(q) == s.base, (s, q)
 
 
 class TestExpandClassification:

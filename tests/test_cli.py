@@ -20,6 +20,7 @@ from dpweights.classify import classify_index
 from dpweights.cli import main, render
 from dpweights.core import Classification, Quintuple
 from dpweights.oracle import brute_force
+from dpweights.series import contains, expand
 
 # sha256 over exit code and stdout of `check` on check_inputs(), recorded
 # before the pair conditions moved to their closed form
@@ -225,6 +226,31 @@ class TestCheck:
         assert time.perf_counter() - start < 2.0
         assert code == 1
         assert "forms-agree=true table-covered=false" in out
+
+    def test_table_covered_matches_full_scan(self, classified):
+        # table-covered reduces q into its class window and scans only the
+        # table series; the reference scans every series with contains.  The
+        # sweep holds classed, classless and non-solid quintuples, and the
+        # members of the table series at I = 1, 2, 4 and 6 reach past it
+        def full_scan(c: Classification, q: Quintuple) -> bool:
+            return q in c.sporadic or any(contains(s, q) for s in c.all_series)
+
+        table_members = [
+            q for index in (1, 2, 4, 6) for s in classified(index).one_param
+            if s.origin == "tableSeries" for q in expand(s, 200)
+        ]
+        swept = [
+            Quintuple(*w, d) for w in combinations_with_replacement(range(1, 25), 4)
+            for d in range(max(w[3] + 1, sum(w) - 8), sum(w))
+        ]
+        covered = 0
+        for q in table_members + swept:
+            c = classified(q.index)
+            expected = full_scan(c, q)
+            assert cli._table_covered(c, q) == expected, q
+            covered += expected
+        assert all(full_scan(classified(q.index), q) for q in table_members)
+        assert covered > len(table_members) + 1000
 
     def test_output_matches_golden_digest(self):
         digest = hashlib.sha256()

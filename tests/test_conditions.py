@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpweights.classify import enumerate_class
+from dpweights.classify import _reduce, enumerate_class
 from dpweights.conditions import (
     PAIRS,
     TRIPLES,
@@ -304,9 +304,12 @@ class TestPieces:
         assert solids > 1000
 
     def test_class_steps_keep_class_and_solidity(self):
-        # step invariance, not yet proved: subtracting a class step while the
-        # weights stay ordered keeps the class and solidity, and reducing as
-        # far as the steps go lands on the base of the emitted series holding q
+        # step invariance (Lemma A), not yet proved for solidity: subtracting
+        # a class step while the weights stay ordered keeps the class and
+        # solidity, and reducing as far as the steps go lands on the base of
+        # the emitted series holding q.  That step-by-step reduction is the
+        # reference for classify._reduce on every quintuple of the sweep, and
+        # _reduce is None exactly on the quintuples without a class
         def steps(n: int, q: Quintuple) -> list[tuple[int, ...]]:
             _, modulus_weights, shapes = _CLASSES[n - 1]
             m = lcm(*modulus_weights(*q.weights, q.index))
@@ -329,9 +332,10 @@ class TestPieces:
         bases = {}  # (class, index) -> {base: series}
         reduced = 0
         for q in quintuples_up_to(20, 8):
+            n = detect_class(q)
+            assert _reduce(q) == (None if n is None else reduce(n, q)), q
             if not is_solid(q):
                 continue
-            n = detect_class(q)
             for step in steps(n, q):
                 below = minus(q, step)
                 if below is not None:

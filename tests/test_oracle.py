@@ -128,17 +128,26 @@ class TestBruteForce:
             emitted = set(expand_classification(classify_index(index), 40))
             assert oracle == emitted, index
 
-    def test_agrees_with_classifier_wide(self):
+    def test_agrees_with_classifier_wide(self, brute_forced):
         t0 = time.monotonic()
         sizes = {}
         for index in range(9, 25):
-            hits = brute_force(index, WIDE_BOUND)
+            hits = brute_forced(index, WIDE_BOUND)
             emitted = expand_classification(classify_index(index), WIDE_BOUND)
             assert set(hits) == set(emitted), index
             sizes[index] = len(hits)
         assert sizes == WIDE_COUNTS
         elapsed = time.monotonic() - t0
         assert elapsed < 60.0, f"oracle sweep I=9..24 at bound {WIDE_BOUND} took {elapsed:.2f}s"
+
+    def test_wide_output_digest(self, brute_forced):
+        # the reprs of every hit at I = 1..24, bound 100, then at I = 1..12,
+        # bound 150; defined after the wide sweep, whose I = 9..24 runs it reuses
+        out = "".join(repr(brute_forced(index, WIDE_BOUND)) for index in range(1, 25))
+        out += "".join(repr(brute_forced(index, 150)) for index in range(1, 13))
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "109e37299867f55e1672b1a7e46f879a15b5763694b9a01bbf97761ab9b4f78a"
+        )
 
     def test_agrees_with_classifier_to_sporadic_reach(self):
         # the largest sporadic a3 is 15I - 8 (table row III.2(4)), so at that
