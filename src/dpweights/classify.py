@@ -52,13 +52,38 @@ of the candidates it would reject are never tried:
 
 Every window keeps one contract: it yields, in ascending order, exactly the
 values whose quintuple passes (iv) and is well formed.  Only those become a
-Quintuple, ``is_solid`` adds the class, which on that ground is the same as
-a structure type (Lemma B in ``conditions``), and ``make_series`` checks
-each survivor's class and builds its series without re-checking the steps.
+Quintuple.  The fixed part of a window is its slot: (p, s) in classes 1-3
+and k in classes 4-6.  The first value of a slot gets the checked build:
+``is_solid`` adds the class, which on that ground is the same as a structure
+type (Lemma B in ``conditions``), and ``make_series`` checks the class and
+builds the series.  Every later value of the slot reuses that series' tag
+and steps, since the slot fixes both the class and the modulus, and the
+steps are the modulus times the class's step shapes:
 
-Everything emitted is self-checked by the divisibility form's verdict, which
-builds no per-pair detail; beyond the windows it re-verifies (v) and (vi),
-which follow from (i), (ii) and (iv) (see ``conditions``).
+* The class.  ``detect_class`` gives the first class whose relation holds
+  (``conditions._CLASSES``).  The relations of classes 1-5 read a0, a1, a2
+  and I, which a slot fixes, and class 6 reads a3 - a2 besides, which is k
+  in classes 4-6.  So the class is fixed once one of classes 1-5 holds, or
+  in classes 4-6 anyway, and the slot decides which:
+  - Class 1 is (p, q, s) with s >= q, so a0 + a1 = I.
+  - Class 2 is (p, s, q): a0 + a2 = I with a2 = q > s = a1, and it fails
+    class 1 because s < q.
+  - Class 3 is (s, p, q): a1 + a2 = I with a1 = p > s = a0, and it fails
+    classes 1 and 2 because s < p.
+  - In classes 4-6, a0 + a1 is I + k or 2I, above I, and a2 >= a1, so
+    classes 1-3 fail.  Classes 4 and 5 hold the pair {I - k, 2k} in order,
+    so 2*a0 + a1 = 2I with I - k <= 2k, else a0 + 2*a1 = 2I with
+    a1 > a0: they split at k = I/3, and class 5 fails class 4 since
+    2*a0 + a1 = I + 3k < 2I.  Class 6 is (I - k, I + k, a2, a2 + k), and it
+    fails classes 4 and 5 because k < I: 2*a0 + a1 = 3I - k and
+    a0 + 2*a1 = 3I + k.
+* The modulus weights: (a0, a1) in classes 1, 4 and 5, (a0, a1, a2) in
+  classes 2 and 3, and (a0, a1, I - a0) in class 6.
+
+``Quintuple`` still validates every value, and everything emitted is
+self-checked by the divisibility form's verdict, which builds no per-pair
+detail; beyond the windows it re-verifies (v) and (vi), which follow from
+(i), (ii) and (iv) (see ``conditions``).
 
 The merge sorts the series and does not dedupe them:
 
@@ -77,7 +102,7 @@ from math import gcd, lcm
 
 from .conditions import _CLASSES, _cond_iv_ints, _well_formed_ints, detect_class, is_solid, quasismooth_divisibility
 from .core import Classification, Quintuple
-from .series import Series, canonical_key, contains, expand, make_series
+from .series import Series, _rebased, canonical_key, contains, expand, make_series
 from .tables import instantiate
 
 
@@ -204,15 +229,26 @@ def _reduce(q: tuple[int, int, int, int, int]) -> tuple[int, int, int, int, int]
 
 
 def enumerate_class(class_number: int, index: int) -> list[Series]:
-    """All series of one class at one index, via solid window representatives."""
+    """All series of one class at one index, built slot by slot.
+
+    A slot is the fixed part of a window: (p, s) in classes 1-3 and k in
+    classes 4-6.  Its first solid value gets the checked build, ``is_solid``
+    and then ``make_series``; the later ones share its class and modulus
+    (module docstring), so they reuse its tag and steps.
+    """
     if index < 1:
         raise ValueError(f"index must be positive, got {index}")
     found: list[Series] = []
 
-    def emit(a0: int, a1: int, a2: int, a3: int, d: int) -> None:
-        q = Quintuple(a0, a1, a2, a3, d)
-        if is_solid(q):
-            found.append(make_series(class_number, q))
+    def emit(slot: list[tuple[int, int, int, int, int]]) -> None:
+        first = None
+        for entries in slot:
+            q = Quintuple(*entries)
+            if first is not None:
+                found.append(_rebased(first, q))
+            elif is_solid(q):
+                first = make_series(class_number, q)
+                found.append(first)
 
     if class_number in (1, 2, 3):
         # where s falls among p <= q sets the class; class 1 walks s over one
@@ -222,20 +258,18 @@ def enumerate_class(class_number: int, index: int) -> list[Series]:
             m = lcm(p, q)
             for s in {1: range(q, q + m), 2: range(p, q), 3: range(1, p)}[class_number]:
                 a0, a1, a2 = sorted((p, q, s))
-                for a3 in _type1_window(a0, a1, a2, s, m if class_number == 1 else lcm(m, s)):
-                    emit(a0, a1, a2, a3, s + a3)
+                window = _type1_window(a0, a1, a2, s, m if class_number == 1 else lcm(m, s))
+                emit([(a0, a1, a2, a3, s + a3) for a3 in window])
     elif class_number in (4, 5):
         # the pair {index - k, 2k}: class 4 has index - k <= 2k, class 5 the rest
         split = (index + 2) // 3  # ceil(index / 3)
         for k in range(split, index) if class_number == 4 else range(1, split):
             a0, a1 = sorted((index - k, 2 * k))
-            for a2 in _type2_window(a0, a1, k):
-                emit(a0, a1, a2, a2 + k, 2 * (a2 + k))
+            emit([(a0, a1, a2, a2 + k, 2 * (a2 + k)) for a2 in _type2_window(a0, a1, k)])
     elif class_number == 6:
         for k in range(1, index):
             a0, a1 = index - k, index + k
-            for a2 in _class6_window(index, k):
-                emit(a0, a1, a2, a2 + k, a1 + 2 * a2)
+            emit([(a0, a1, a2, a2 + k, a1 + 2 * a2) for a2 in _class6_window(index, k)])
     else:
         raise ValueError(f"series class number must be 1..6, got {class_number}")
     return found

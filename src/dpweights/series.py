@@ -34,7 +34,8 @@ class Series(namedtuple("Series", "origin base steps")):
     parameter pair.  A class-tagged series is fixed by its base: the base is
     a solid member of the class, and the steps are, in some order, the ones
     ``make_series`` gives it.  The constructor, ``from_dict`` and
-    ``make_series`` all apply that one rule, ``_class_steps``.
+    ``make_series`` all apply that one rule, ``_class_steps``, and
+    ``_rebased`` copies its result onto bases of the same class and modulus.
     """
 
     __slots__ = ()
@@ -131,6 +132,16 @@ def make_series(class_number: int, rep: Quintuple) -> Series:
     return tuple.__new__(Series, (_TAGS[class_number], rep, steps))
 
 
+def _rebased(series: Series, base: Quintuple) -> Series:
+    """The series with ``series``'s tag and steps through ``base``, unchecked.
+
+    Only for a base whose class and modulus are those of ``series.base``, so
+    that ``make_series`` would give it the same steps: ``enumerate_class``
+    uses it for the later values of a window slot (``classify``).
+    """
+    return tuple.__new__(Series, (series.origin, base, series.steps))
+
+
 def _shifted(base: tuple[int, ...], step: StepVector, count: int) -> tuple[int, ...]:
     return tuple(b + count * s for b, s in zip(base, step))
 
@@ -194,4 +205,4 @@ def canonical_key(series: Series) -> tuple:
     Two series with minimal bases, from which no step can be subtracted, share
     a key exactly when they generate the same members.
     """
-    return (series.base.astuple(), tuple(sorted(series.steps)))
+    return (series.base, tuple(sorted(series.steps)))

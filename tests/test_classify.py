@@ -18,6 +18,7 @@ from dpweights.classify import (
     _reduce,
     _type1_a3,
     _type1_window,
+    _type2_window,
     classify_index,
     enumerate_class,
     expand_classification,
@@ -31,7 +32,7 @@ from dpweights.conditions import (
     quasismooth_divisibility,
 )
 from dpweights.core import Quintuple
-from dpweights.series import Series, canonical_key, contains, expand, make_series
+from dpweights.series import Series, _class_steps, canonical_key, contains, expand, make_series
 from dpweights.tables import instantiate
 
 # sha256 of `classify --index I --format json` for I = 1..30, recorded before
@@ -128,6 +129,68 @@ class TestClassifyIndex:
             assert quasismooth_divisibility(q).accepted, q
 
 
+# the largest window period a drawn slot may have; class 6 walks its window
+# in strides of a1 = I + k, so it bounds the number of strides instead
+SLOT_PERIOD = 50_000
+CLASS6_STRIDES = 5_000
+
+
+@st.composite
+def slots(draw) -> tuple[int, int, tuple[int, ...]]:
+    """A class number c, an index I <= 3000 and one window slot of c at I:
+    (p, s) in classes 1-3 and (k,) in classes 4-6.
+
+    Only slots whose window can be non-empty are drawn.  In classes 1-3, s
+    is prime to p*q, and in classes 4-6 gcd(a0, a1) <= 2: it divides
+    d = 2*a3 in classes 4 and 5, where (a0, a1, a3) is coprime, and class 6
+    keeps no value above 2 (``classify`` module docstring).
+    """
+    c = draw(st.integers(1, 6))
+    index = draw(st.integers(4, 3000))
+    if c <= 3:
+        # class 2 has s >= p prime to lcm(p, q), so its period is at least
+        # lcm(p, q) * p; p = 1 (p = 2 in class 3) always qualifies
+        ps = [
+            p for p in range(2 if c == 3 else 1, (index + 1) // 2 if c == 2 else index // 2 + 1)
+            if lcm(p, index - p) * (p if c == 2 else 1) <= SLOT_PERIOD
+        ]
+        p = draw(st.sampled_from(ps))
+        q = index - p
+        m = lcm(p, q)
+        ss = [
+            s for s in {1: range(q, q + m), 2: range(p, q), 3: range(1, p)}[c]
+            if gcd(s, p * q) == 1 and (c == 1 or lcm(m, s) <= SLOT_PERIOD)
+        ]
+        assume(ss)
+        return c, index, (p, draw(st.sampled_from(ss)))
+    split = (index + 2) // 3
+    if c == 6:
+        ks = [
+            k for k in range(1, index)
+            if gcd(index - k, index + k) <= 2 and lcm(index - k, index + k, k) <= CLASS6_STRIDES * (index + k)
+        ]
+    else:
+        ks = [
+            k for k in (range(split, index) if c == 4 else range(1, split))
+            if gcd(index - k, 2 * k) <= 2 and lcm(index - k, 2 * k) <= SLOT_PERIOD
+        ]
+    return c, index, (draw(st.sampled_from(ks)),)
+
+
+def slot_values(c: int, index: int, slot: tuple[int, ...]) -> list[tuple[int, int, int, int, int]]:
+    """The values ``enumerate_class`` reads from one window slot, in order."""
+    if c <= 3:
+        p, s = slot
+        m = lcm(p, index - p)
+        a0, a1, a2 = sorted((p, index - p, s))
+        return [(a0, a1, a2, a3, s + a3) for a3 in _type1_window(a0, a1, a2, s, m if c == 1 else lcm(m, s))]
+    (k,) = slot
+    if c == 6:
+        return [(index - k, index + k, a2, a2 + k, index + k + 2 * a2) for a2 in _class6_window(index, k)]
+    a0, a1 = sorted((index - k, 2 * k))
+    return [(a0, a1, a2, a2 + k, 2 * (a2 + k)) for a2 in _type2_window(a0, a1, k)]
+
+
 class TestEnumerateClass:
     def test_class1_at_index2(self):
         series = enumerate_class(1, 2)
@@ -171,6 +234,17 @@ class TestEnumerateClass:
         assert detect_class(q) == n and is_solid(q), (s, q)
         assert quasismooth_divisibility(q).accepted, (s, q)
         assert _reduce(q) == s.base, (s, q)
+
+    @given(slots())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_slot_values_share_class_and_steps(self, drawn):
+        # enumerate_class checks only a slot's first value and gives the rest
+        # its steps: every value of the slot has its class and its steps
+        c, index, slot = drawn
+        values = [Quintuple(*v) for v in slot_values(c, index, slot)]
+        for q in values:
+            assert q.index == index and detect_class(q) == c, (c, slot, q)
+            assert _class_steps(c, q) == _class_steps(c, values[0]), (c, slot, q)
 
 
 class TestExpandClassification:
