@@ -280,6 +280,16 @@ def _accepted(w: list[int], d: int, waived: tuple[int, int] | None) -> bool:
     return True
 
 
+# the monomial form's own search, shared with nothing on the divisibility path
+def _pair_monomial(ai: int, aj: int, r: int, lo: int) -> bool:
+    # bi*ai + bj*aj = r with bi + bj >= lo
+    for bj in range(r // aj + 1):
+        rest = r - aj * bj
+        if rest % ai == 0 and rest // ai + bj >= lo:
+            return True
+    return False
+
+
 def quasismooth_monomial(q: Quintuple) -> bool:
     """Independent check that a general member of |O(d)| is quasi-smooth.
 
@@ -313,31 +323,26 @@ def quasismooth_monomial(q: Quintuple) -> bool:
             return False
     # for every i a monomial x_i^m x_j (m >= 1, j = i allowed via m+1 power)
     for ai in w:
-        if not any(d - aj >= ai and (d - aj) % ai == 0 for aj in w):
+        for aj in w:
+            if d - aj >= ai and (d - aj) % ai == 0:
+                break
+        else:
             return False
-
-    def pair_monomial(ai: int, aj: int, r: int, lo: int) -> bool:
-        # bi*ai + bj*aj = r with bi + bj >= lo
-        for bj in range(r // aj + 1):
-            rest = r - aj * bj
-            if rest % ai == 0 and rest // ai + bj >= lo:
-                return True
-        return False
 
     # shared-factor pairs need a pure pair monomial of joint degree >= 2
     for i, j in PAIRS:
         if (i, j) == waived:
             continue
-        if gcd(w[i], w[j]) > 1 and not pair_monomial(w[i], w[j], d, 2):
+        if gcd(w[i], w[j]) > 1 and not _pair_monomial(w[i], w[j], d, 2):
             return False
 
     # every pair needs either a pair monomial or both edge cross terms
     # x_i^ci x_j^cj x_k of degree d (ci + cj >= 1), for each other k
     for i, j in PAIRS:
-        if pair_monomial(w[i], w[j], d, 1):
+        if _pair_monomial(w[i], w[j], d, 1):
             continue
         k, l = (x for x in range(4) if x not in (i, j))
-        if not (pair_monomial(w[i], w[j], d - w[k], 1) and pair_monomial(w[i], w[j], d - w[l], 1)):
+        if not (_pair_monomial(w[i], w[j], d - w[k], 1) and _pair_monomial(w[i], w[j], d - w[l], 1)):
             return False
     return True
 

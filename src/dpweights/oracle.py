@@ -19,6 +19,12 @@ pair (a0, a1) give those (a2, a3); ``brute_force`` proves them:
   delta >= 0, or, only when a2 <= c, a3 = c or a3 = s/2.
 * a2 on an offset: x2 has a monomial exactly when a2 divides one of the
   constants c, c + delta, c + delta - a0, c + delta - a1.
+* Few a2: when c > 0, each of those constants k has |k| < 4*a2, and when
+  a2 <= c, each constant that decides a3 = c or a3 = s/2 has |k| < 6*a2.
+  So a2 is a small quotient k/m of one of them, and ``_a2_a3`` takes these
+  quotients as its candidates instead of scanning a2.  The modular test
+  still decides every candidate; only a zero constant, which every a2
+  divides, sends an offset back to its whole range of a2.
 """
 from __future__ import annotations
 
@@ -49,16 +55,33 @@ def _a2_a3(index: int, bound: int, a0: int, a1: int) -> list[tuple[int, int]]:
         k1 = c + delta
         k2 = k1 - a0
         k3 = k1 - a1
-        found.update(
-            (a2, a2 + delta)
-            for a2 in range(a1, bound - delta + 1)
-            if not (c % a2 and k1 % a2 and k2 % a2 and k3 % a2)
-        )
-    for a2 in range(a1, min(c, bound) + 1):
-        s = a2 + c
-        for a3 in (c, s // 2) if s % 2 == 0 else (c,):
-            if a3 <= bound and not (c % a2 and (c + a3 - a0) % a2 and (c + a3 - a1) % a2 and (c + a3) % a2):
-                found.add((a2, a3))
+        top = bound - delta
+        # an a2 dividing one of c, k1, k2, k3 is c, k1/m (m <= 3) or k2/m,
+        # k3/m (m <= 2); a zero k2 or k3 lets every a2 pass
+        for a2 in (c, k1, k1 // 2, k1 // 3, k2, k2 // 2, k3, k3 // 2) if k2 and k3 else range(a1, top + 1):
+            if a1 <= a2 <= top and not (c % a2 and k1 % a2 and k2 % a2 and k3 % a2):
+                found.add((a2, a2 + delta))
+    top = min(c, bound)
+    if a1 <= top:
+        # a2 <= c needs a0 >= I, so every constant below is positive
+        c2 = 2 * c
+        k0 = c2 - a0
+        k1 = c2 - a1
+        if c <= bound:
+            # a3 = c: a2 divides c, 2c, 2c - a0 or 2c - a1
+            for a2 in (c, c2 // 3, k0, k0 // 2, k1, k1 // 2):
+                if a1 <= a2 <= top and not (c % a2 and c2 % a2 and k0 % a2 and k1 % a2):
+                    found.add((a2, c))
+        # a3 = s/2: a2 dividing c + a3 - a_j divides 3c - 2*a_j, as 2*a3 = a2 + c
+        c3 = 3 * c
+        k0 = c3 - 2 * a0
+        k1 = c3 - 2 * a1
+        for a2 in (c, c3 // 4, c3 // 5, k0, k0 // 2, k0 // 3, k1, k1 // 2, k1 // 3):
+            s = a2 + c
+            if a1 <= a2 <= top and s % 2 == 0:
+                a3 = s // 2
+                if a3 <= bound and not (c % a2 and (c + a3 - a0) % a2 and (c + a3 - a1) % a2 and (c + a3) % a2):
+                    found.add((a2, a3))
     return sorted(found)
 
 
@@ -92,6 +115,27 @@ def brute_force(index: int, bound: int) -> list[Quintuple]:
       does when one of them is 0.  The free a3 and the a3 of a2 <= c test a2
       directly, against the same four values reduced modulo a2: c,
       c + a3 - a0, c + a3 - a1 and c + a3.
+    * Few a2 (c > 0).  Then c < 2*a2 and every delta <= c, as a1 - I and
+      a0 - I are c - a0 and c - a1.  On an offset, 0 < c + delta < 4*a2,
+      while c + delta - a0 = a1 - I + delta and c + delta - a1 =
+      a0 - I + delta lie above -a2 (as a0 + a1 > I) and below a2 + c < 3*a2.
+      So a2 divides a nonzero one of them only as c, (c + delta)/m with
+      m <= 3, or (c + delta - a_j)/m with m <= 2; a negative one it does not
+      divide at all.  Only the last two can be 0, on the lines a0 = I,
+      a1 = I, a0 + a1 = 2I, a0 = 2(I - a1) and a1 = 2(I - a0), and there
+      every a2 of the offset passes.  When a2 <= c, then a1 <= c, so a0 >= I
+      and c/2 < a2.  For a3 = c, a2 divides c, 2c, 2c - a0 or 2c - a1.  For
+      a3 = s/2, 2*a3 = a2 + c turns a2 | c + a3 - a_j into
+      a2 | 3c - 2*a_j for a_j in {a0, a1, 0}.  Each of these constants lies
+      in [a1, 6*a2): 2c in [2*a2, 4*a2), 3c in [3*a2, 6*a2),
+      2c - a0 = a0 + 2*a1 - 2I and 2c - a1 = 2*a0 + a1 - 2I below 3*a2, and
+      3c - 2*a0 = a0 + 3*a1 - 3I and 3c - 2*a1 = 3*a0 + a1 - 3I below
+      4*a2.  So a2 is c, 2c/3, 3c/4, 3c/5, (2c - a_j)/m with m <= 2 or
+      (3c - 2*a_j)/m with m <= 3, a superset of the a2 that pass.  Each
+      candidate, taken as a floor quotient whether or not it divides, then
+      meets the unchanged test against c, c + a3 - a0, c + a3 - a1 and
+      c + a3, so the candidates give exactly the pairs a scan of every a2
+      gives.
 
     Each candidate must then pass two conditions on plain integers: every
     weight triple is coprime, and a0 and a1 each divide d - a_j for some

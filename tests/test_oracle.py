@@ -40,6 +40,40 @@ def brute_force_by_definition(index: int, bound: int) -> list[Quintuple]:
     return hits
 
 
+def a2_a3_by_scan(index: int, bound: int, a0: int, a1: int) -> list[tuple[int, int]]:
+    """``oracle._a2_a3`` as it was while it scanned every a2 of each offset
+    and of a2 <= c, kept as the reference its divisor candidates must equal."""
+    c = a0 + a1 - index
+    if c <= 0:
+        # free a3; a2 divides d - a3, d - a0, d - a1 or d - a2, that is
+        # c, c + a3 - a0, c + a3 - a1 or c + a3 modulo a2
+        return [
+            (a2, a3)
+            for a2 in (range(a1, bound + 1) if c == 0 else sorted({index - a1, index - a0}))
+            if a1 <= a2
+            for a3 in range(a2, bound + 1)
+            if not (c % a2 and (c + a3 - a0) % a2 and (c + a3 - a1) % a2 and (c + a3) % a2)
+        ]
+    found: set[tuple[int, int]] = set()
+    for delta in {c, a1 - index, a0 - index}:
+        if delta < 0:
+            continue
+        k1 = c + delta
+        k2 = k1 - a0
+        k3 = k1 - a1
+        found.update(
+            (a2, a2 + delta)
+            for a2 in range(a1, bound - delta + 1)
+            if not (c % a2 and k1 % a2 and k2 % a2 and k3 % a2)
+        )
+    for a2 in range(a1, min(c, bound) + 1):
+        s = a2 + c
+        for a3 in (c, s // 2) if s % 2 == 0 else (c,):
+            if a3 <= bound and not (c % a2 and (c + a3 - a0) % a2 and (c + a3 - a1) % a2 and (c + a3) % a2):
+                found.add((a2, a3))
+    return sorted(found)
+
+
 @dataclass(frozen=True)
 class CoverageDiagnosis:
     """How one brute-force hit is explained by the structured classification."""
@@ -151,16 +185,16 @@ class TestBruteForce:
 
     def test_agrees_with_classifier_to_sporadic_reach(self):
         # the largest sporadic a3 is 15I - 8 (table row III.2(4)), so at that
-        # bound every sporadic quintuple meets the oracle; I = 16..20 lie in
-        # the band the classify benchmark times; about 9 s on a 2-vCPU machine
+        # bound every sporadic quintuple meets the oracle; I = 16..22 lie in
+        # the band the classify benchmark times; about 7 s on a 2-vCPU machine
         t0 = time.monotonic()
-        for index in range(8, 21):
+        for index in range(8, 25):
             bound = 15 * index - 8
             c = classify_index(index)
             assert max(q.a3 for q in c.sporadic) == bound, index
             assert brute_force(index, bound) == expand_classification(c, bound), index
         elapsed = time.monotonic() - t0
-        assert elapsed < 30.0, f"oracle sweep I=8..20 at bound 15I-8 took {elapsed:.2f}s"
+        assert elapsed < 30.0, f"oracle sweep I=8..24 at bound 15I-8 took {elapsed:.2f}s"
 
 
 class TestCandidateWalk:
@@ -181,6 +215,18 @@ class TestCandidateWalk:
                 for bound in range(a1, top + 1):
                     got = _a2_a3(index, bound, a0, a1)
                     assert got == [p for p in expected if p[1] <= bound], (a0, a1, bound)
+
+    @pytest.mark.parametrize(
+        "index, bound", [(index, 120) for index in range(1, 13)] + [(16, 232), (24, 352)]
+    )
+    def test_a2_a3_equals_the_scan(self, index, bound):
+        # the divisor candidates give what scanning every a2 gave, on every
+        # pair up to bound 120 at I = 1..12 and up to the sporadic reach
+        # 15I - 8 at I = 16 and 24
+        for a0 in range(1, bound + 1):
+            for a1 in range(a0, bound + 1):
+                got = _a2_a3(index, bound, a0, a1)
+                assert got == a2_a3_by_scan(index, bound, a0, a1), (index, a0, a1)
 
 
 class TestTypeCoverage:
