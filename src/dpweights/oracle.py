@@ -25,6 +25,15 @@ pair (a0, a1) give those (a2, a3); ``brute_force`` proves them:
   quotients as its candidates instead of scanning a2.  The modular test
   still decides every candidate; only a zero constant, which every a2
   divides, sends an offset back to its whole range of a2.
+* Pair bound: every candidate has a3 >= (a1 + c)/2, so a pair with
+  a0 + 2*a1 > 2*bound + I has none, and ``brute_force`` ends its a1 loop
+  there.  Within a pair, ``_a2_a3`` skips an offset whose a2 range
+  a1..bound - delta is empty and caps a2 <= c at 2*bound - c, where
+  a3 = s/2 passes bound.
+* Free a3 at c = 0: a0 + a1 = I and d = a2 + a3.  Unless a0 divides a2, a0
+  divides some d - a_j exactly when a3 is 0, -a2 or a1 - a2 modulo a0, and
+  likewise for a1 with a0 - a2.  ``_free_pairs`` walks those residues
+  instead of every a3.
 """
 from __future__ import annotations
 
@@ -49,19 +58,22 @@ def _a2_a3(index: int, bound: int, a0: int, a1: int) -> list[tuple[int, int]]:
             if not (c % a2 and (c + a3 - a0) % a2 and (c + a3 - a1) % a2 and (c + a3) % a2)
         ]
     found: set[tuple[int, int]] = set()
-    for delta in {c, a1 - index, a0 - index}:
-        if delta < 0:
+    # a1 - I = a0 - I exactly when a0 = a1; c equals neither
+    for delta in (c, a1 - index, a0 - index) if a0 != a1 else (c, a1 - index):
+        top = bound - delta
+        if delta < 0 or top < a1:
             continue
         k1 = c + delta
         k2 = k1 - a0
         k3 = k1 - a1
-        top = bound - delta
         # an a2 dividing one of c, k1, k2, k3 is c, k1/m (m <= 3) or k2/m,
         # k3/m (m <= 2); a zero k2 or k3 lets every a2 pass
         for a2 in (c, k1, k1 // 2, k1 // 3, k2, k2 // 2, k3, k3 // 2) if k2 and k3 else range(a1, top + 1):
             if a1 <= a2 <= top and not (c % a2 and k1 % a2 and k2 % a2 and k3 % a2):
                 found.add((a2, a2 + delta))
-    top = min(c, bound)
+    # a3 = s/2 = (a2 + c)/2 <= bound caps a2 at 2*bound - c, and that cap is
+    # c or above whenever a3 = c <= bound is possible
+    top = min(c, 2 * bound - c)
     if a1 <= top:
         # a2 <= c needs a0 >= I, so every constant below is positive
         c2 = 2 * c
@@ -80,9 +92,36 @@ def _a2_a3(index: int, bound: int, a0: int, a1: int) -> list[tuple[int, int]]:
             s = a2 + c
             if a1 <= a2 <= top and s % 2 == 0:
                 a3 = s // 2
-                if a3 <= bound and not (c % a2 and (c + a3 - a0) % a2 and (c + a3 - a1) % a2 and (c + a3) % a2):
+                if not (c % a2 and (c + a3 - a0) % a2 and (c + a3 - a1) % a2 and (c + a3) % a2):
                     found.add((a2, a3))
     return sorted(found)
+
+
+def _free_pairs(bound: int, a0: int, a1: int) -> list[tuple[int, int]]:
+    """For c = 0, that is a0 + a1 = I: the pairs of ``_a2_a3``, every
+    a1 <= a2 <= a3 <= bound, at which a0 and a1 each divide some d - a_j,
+    in ascending order.
+
+    A weight a_i of a0, a1 that divides a2 passes; otherwise a3 must be 0,
+    -a2 or a_k - a2 modulo a_i, with a_k the other one (``brute_force``
+    proves it).  The walk strides those residues of the larger such a_i,
+    which leaves fewer a3, and tests the other.
+    """
+    found: list[tuple[int, int]] = []
+    for a2 in range(a1, bound + 1):
+        moduli = [(m, k) for m, k in ((a1, a0), (a0, a1)) if a2 % m]
+        if not moduli:
+            found.extend((a2, a3) for a3 in range(a2, bound + 1))
+            continue
+        m, k = moduli[0]
+        a3s = sorted(
+            a3 for r in {0, -a2 % m, (k - a2) % m} for a3 in range(a2 + (r - a2) % m, bound + 1, m)
+        )
+        for m, k in moduli[1:]:
+            residues = {0, -a2 % m, (k - a2) % m}
+            a3s = [a3 for a3 in a3s if a3 % m in residues]
+        found.extend((a2, a3) for a3 in a3s)
+    return found
 
 
 def brute_force(index: int, bound: int) -> list[Quintuple]:
@@ -136,10 +175,32 @@ def brute_force(index: int, bound: int) -> list[Quintuple]:
       meets the unchanged test against c, c + a3 - a0, c + a3 - a1 and
       c + a3, so the candidates give exactly the pairs a scan of every a2
       gives.
+    * Pair bound.  Every candidate has a3 >= (a1 + c)/2 =
+      (a0 + 2*a1 - I)/2.  On an offset, a3 = a2 + delta with delta >= 0 and
+      a2 >= a1, so a3 >= a1; and a2 + c, a2 + (a1 - I), a2 + (a0 - I) are
+      at least c, as a2 >= a1 >= a0; so a3 >= max(a1, c).  a3 = c is c and
+      a3 >= a2 >= a1.  a3 = s/2 = (a2 + c)/2 >= (a1 + c)/2.  So once
+      a0 + 2*a1 > 2*bound + I, no candidate has a3 <= bound, and the a1 loop
+      stops at (2*bound + I - a0) // 2.  For c <= 0 the cut never applies:
+      a0 + a1 <= I and a1 <= bound give a0 + 2*a1 <= 2*bound + I.  Inside
+      ``_a2_a3`` an offset with bound - delta < a1 has no a2, and a3 = s/2
+      <= bound caps a2 <= c at 2*bound - c, which is c itself whenever
+      a3 = c <= bound.  None of these exits changes its output.
+    * Free a3 at c = 0.  Then d = a2 + a3, so d - a2 = a3, d - a3 = a2, and
+      every (a2, a3) with a1 <= a2 <= a3 <= bound is a candidate.  a0
+      divides d - a3 = a2, or one of d - a0, d - a1 and d - a2, which are
+      a2 + a3, a2 + a3 - a1 and a3 modulo a0.  So unless a0 | a2, a3 is
+      -a2, a1 - a2 or 0 modulo a0.  Likewise a3 is -a2, a0 - a2 or 0
+      modulo a1 unless a1 | a2.
+      ``_free_pairs`` yields exactly the candidates that meet both, striding
+      the residues of one modulus and testing the other.
 
     Each candidate must then pass two conditions on plain integers: every
     weight triple is coprime, and a0 and a1 each divide d - a_j for some
-    weight a_j (``_a2_a3`` decided that for a2 and a3).  The monomial form
+    weight a_j (``_a2_a3`` decided that for a2 and a3).  The second is tested
+    first, with ``%`` alone, and for c = 0 the walk has decided it; the
+    four triples take three gcds, as gcd(a0, a1, a2) and gcd(a0, a1, a3)
+    are both 1 exactly when gcd(gcd(a0, a1), a2*a3) is.  The monomial form
     applies both to every quintuple and waives neither, so what they skip it
     would reject; the pair conditions, which it waives for the covered-edge
     family, are left to it.  Only the survivors become a ``Quintuple`` and see
@@ -149,17 +210,21 @@ def brute_force(index: int, bound: int) -> list[Quintuple]:
         raise ValueError(f"index and bound must be positive: index={index} bound={bound}")
     hits: list[Quintuple] = []
     for a0 in range(1, bound + 1):
-        for a1 in range(a0, bound + 1):
+        # a0 + 2*a1 > 2*bound + I puts every a3 above bound
+        for a1 in range(a0, min(bound, (2 * bound + index - a0) // 2) + 1):
+            c = a0 + a1 - index
             g = gcd(a0, a1)
-            for a2, a3 in _a2_a3(index, bound, a0, a1):
-                if gcd(g, a2) != 1 or gcd(g, a3) != 1 or gcd(a0, a2, a3) != 1 or gcd(a1, a2, a3) != 1:
+            for a2, a3 in _a2_a3(index, bound, a0, a1) if c else _free_pairs(bound, a0, a1):
+                d = c + a2 + a3
+                # _free_pairs has decided a0 and a1 already
+                if c and (
+                    (d % a0 and (d - a1) % a0 and (d - a2) % a0 and (d - a3) % a0)
+                    or (d % a1 and (d - a0) % a1 and (d - a2) % a1 and (d - a3) % a1)
+                ):
                     continue
-                d = a0 + a1 + a2 + a3 - index
-                for ai in (a0, a1):
-                    if (d - a0) % ai and (d - a1) % ai and (d - a2) % ai and (d - a3) % ai:
-                        break
-                else:
-                    q = Quintuple(a0, a1, a2, a3, d)
-                    if quasismooth_monomial(q):
-                        hits.append(q)
+                if gcd(g, a2 * a3) != 1 or gcd(a0, a2, a3) != 1 or gcd(a1, a2, a3) != 1:
+                    continue
+                q = Quintuple(a0, a1, a2, a3, d)
+                if quasismooth_monomial(q):
+                    hits.append(q)
     return hits

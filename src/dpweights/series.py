@@ -142,10 +142,6 @@ def _rebased(series: Series, base: Quintuple) -> Series:
     return tuple.__new__(Series, (series.origin, base, series.steps))
 
 
-def _shifted(base: tuple[int, ...], step: StepVector, count: int) -> tuple[int, ...]:
-    return tuple(b + count * s for b, s in zip(base, step))
-
-
 def _max_param(vals: tuple[int, ...], step: StepVector, bound: int) -> int:
     """Largest multiplier keeping every weight coordinate at or below bound."""
     # the degree entry is positive and sums the weight entries, so one moves
@@ -157,9 +153,14 @@ def expand(series: Series, bound: int) -> list[Quintuple]:
 
     Members come out in lexicographic parameter order.
     """
-    points = [series.base.astuple()]
+    points = [series.base]
     for step in series.steps:
-        points = [_shifted(p, step, x) for p in points for x in range(_max_param(p, step, bound) + 1)]
+        s0, s1, s2, s3, sd = step
+        points = [
+            (b0 + x * s0, b1 + x * s1, b2 + x * s2, b3 + x * s3, bd + x * sd)
+            for b0, b1, b2, b3, bd in points
+            for x in range(_max_param((b0, b1, b2, b3), step, bound) + 1)
+        ]
     return [Quintuple(*v) for v in points if v[0] <= v[1] <= v[2] <= v[3] <= bound]
 
 

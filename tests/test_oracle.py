@@ -11,7 +11,7 @@ import pytest
 from dpweights.classify import classify_index, expand_classification
 from dpweights.conditions import detect_class, detect_types, quasismooth_monomial
 from dpweights.core import Quintuple
-from dpweights.oracle import _a2_a3, brute_force
+from dpweights.oracle import _a2_a3, _free_pairs, brute_force
 from dpweights.series import contains
 from dpweights.tables import instantiate
 
@@ -186,15 +186,15 @@ class TestBruteForce:
     def test_agrees_with_classifier_to_sporadic_reach(self):
         # the largest sporadic a3 is 15I - 8 (table row III.2(4)), so at that
         # bound every sporadic quintuple meets the oracle; I = 16..22 lie in
-        # the band the classify benchmark times; about 7 s on a 2-vCPU machine
+        # the band the classify benchmark times; about 11 s on a 2-vCPU machine
         t0 = time.monotonic()
-        for index in range(8, 25):
+        for index in range(8, 29):
             bound = 15 * index - 8
             c = classify_index(index)
             assert max(q.a3 for q in c.sporadic) == bound, index
             assert brute_force(index, bound) == expand_classification(c, bound), index
         elapsed = time.monotonic() - t0
-        assert elapsed < 30.0, f"oracle sweep I=8..24 at bound 15I-8 took {elapsed:.2f}s"
+        assert elapsed < 30.0, f"oracle sweep I=8..28 at bound 15I-8 took {elapsed:.2f}s"
 
 
 class TestCandidateWalk:
@@ -227,6 +227,32 @@ class TestCandidateWalk:
             for a1 in range(a0, bound + 1):
                 got = _a2_a3(index, bound, a0, a1)
                 assert got == a2_a3_by_scan(index, bound, a0, a1), (index, a0, a1)
+
+    @pytest.mark.parametrize(
+        "index, bounds", [(index, range(1, 121)) for index in range(1, 13)] + [(16, [232]), (24, [352])]
+    )
+    def test_pairs_past_the_cut_have_no_candidate(self, index, bounds):
+        # brute_force ends its a1 loop where a0 + 2*a1 > 2*bound + I; no pair
+        # beyond it has an (a2, a3), at every bound up to 120 at I = 1..12
+        # and at the sporadic reach 15I - 8 at I = 16 and 24
+        for bound in bounds:
+            for a0 in range(1, bound + 1):
+                for a1 in range(max(a0, (2 * bound + index - a0) // 2 + 1), bound + 1):
+                    assert _a2_a3(index, bound, a0, a1) == [], (bound, a0, a1)
+
+    @pytest.mark.parametrize("index", range(2, 25))
+    def test_free_pairs_are_the_filtered_c0_pairs(self, index):
+        # for a0 + a1 = I the residue walk gives the c = 0 pairs of _a2_a3
+        # at which a0 and a1 each divide some d - aj, at the sporadic reach
+        bound = 15 * index - 8
+        for a0 in range(1, index // 2 + 1):
+            a1 = index - a0
+            expected = []
+            for a2, a3 in _a2_a3(index, bound, a0, a1):
+                d = a2 + a3
+                if all((d - a0) % ai == 0 or (d - a1) % ai == 0 or a3 % ai == 0 or a2 % ai == 0 for ai in (a0, a1)):
+                    expected.append((a2, a3))
+            assert _free_pairs(bound, a0, a1) == expected, (a0, a1)
 
 
 class TestTypeCoverage:

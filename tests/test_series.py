@@ -1,6 +1,8 @@
 """Series construction, expansion, membership and sort keys."""
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +89,24 @@ class TestExpandContains:
             for s in classify_index(index).all_series:
                 for q in expand(s, 80):
                     assert contains(s, q), (s.base, q)
+
+    def test_expand_matches_definition(self):
+        # expand(s, b) is s.member over every parameter in lexicographic
+        # order, kept when the weights are ordered and a3 <= b; a weight that
+        # a step moves by its largest entry e starts at 1 or more, so that
+        # step's parameter is at most (b - 1) // e
+        bound = 70
+        for index in range(1, 13):
+            for s in classify_index(index).all_series:
+                ranges = [range((bound - 1) // max(step[:4]) + 1) for step in s.steps]
+                expected = []
+                for params in product(*ranges):
+                    v = list(s.base)
+                    for p, step in zip(params, s.steps):
+                        v = [x + p * e for x, e in zip(v, step)]
+                    if v[0] <= v[1] <= v[2] <= v[3] <= bound:
+                        expected.append(s.member(*params))
+                assert expand(s, bound) == expected, s
 
     def test_expansion_respects_bound_and_order(self):
         for s in classify_index(5).all_series:
