@@ -78,6 +78,14 @@ JSON_SHA256 = {
 # the LaTeX sections and series expressions were each written once
 FORMATS_SHA256 = "33923062a05e56985b23ba2dfbf9bd52be22d48cffb18641d343c837f7986a86"
 
+# sha256 over render(classify_index(I), fmt) for I = 31..40, one per
+# format: the renders users get past the golden digests' range
+HIGH_FORMATS_SHA256 = {
+    "text": "e5011c03c609133481a64fc248a42932bacc024a73557c68716fcd60f7804fcc",
+    "csv": "40252c42302e5f164109b68dc337daf669215835d5b47e201bf404bd1416ce4d",
+    "latex": "a7afa87dc0201fa191373bda33cc8d3a71e6f71374dfe800b90ea2bdf8b9697f",
+}
+
 
 def run(capsys, *argv):
     try:
@@ -142,6 +150,15 @@ class TestClassify:
             assert text == json.dumps(classification_payload(c), indent=2) + "\n", c.index
             if c.index in JSON_SHA256:
                 assert hashlib.sha256(text.encode()).hexdigest() == JSON_SHA256[c.index], c.index
+
+    def test_text_csv_latex_digests_past_the_golden_range(self, classified):
+        # the text, CSV and LaTeX renders of I = 31..40, each format hashed
+        # over the ten indices in order, stay as recorded
+        for fmt, expected in HIGH_FORMATS_SHA256.items():
+            digest = hashlib.sha256()
+            for index in range(31, 41):
+                digest.update(render(classified(index), fmt).encode())
+            assert digest.hexdigest() == expected, fmt
 
     def test_text_csv_latex_match_golden_digest(self, classified):
         digest = hashlib.sha256()

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -74,6 +75,20 @@ def a2_a3_by_scan(index: int, bound: int, a0: int, a1: int) -> list[tuple[int, i
     return sorted(found)
 
 
+def x0_x1_have_monomials(index: int, a0: int, a1: int, a2: int, a3: int) -> bool:
+    """a0 and a1 each divide some d - a_j: condition (iv) on x0 and x1, on
+    plain integers."""
+    d = a0 + a1 + a2 + a3 - index
+    return all((d - a0) % ai == 0 or (d - a1) % ai == 0 or (d - a2) % ai == 0 or (d - a3) % ai == 0 for ai in (a0, a1))
+
+
+def covered_edge_shape(w: tuple[int, int, int, int], d: int) -> bool:
+    """The weights are 7, 2v, 3v and (9v - 7)/2 with d = 9v, v = 3 mod 4 and
+    7 not dividing v, the one shape whose even pair the monomial form waives."""
+    v = d // 9
+    return d == 9 * v and v % 4 == 3 and v % 7 != 0 and sorted(w) == sorted((7, 2 * v, 3 * v, (9 * v - 7) // 2))
+
+
 @dataclass(frozen=True)
 class CoverageDiagnosis:
     """How one brute-force hit is explained by the structured classification."""
@@ -133,7 +148,10 @@ class TestBruteForce:
             assert brute_force(index, bound) == [q for q in reference if q.a3 <= bound], bound
 
         # the integer pre-filter hands the monomial form only candidates whose
-        # weight triples are coprime and whose weights each divide some d - aj
+        # weight triples are coprime, whose weights each divide some d - aj,
+        # and whose pair gcds each divide d unless they have the covered-edge
+        # shape; by (v) and (vi) following from (i), (ii) and (iv), it sees
+        # exactly the hits
         seen = []
 
         def recording(q):
@@ -147,6 +165,8 @@ class TestBruteForce:
             w, d = q.weights, q.d
             assert all(gcd(*(w[i] for i in range(4) if i != k)) == 1 for k in range(4)), q
             assert all(any((d - aj) % ai == 0 for aj in w) for ai in w), q
+            assert covered_edge_shape(w, d) or all(d % gcd(ai, aj) == 0 for ai, aj in combinations(w, 2)), q
+        assert seen == reference
 
     def test_output_digest(self):
         # the reprs of every hit at I = 1..12, bound 70: members, their order
@@ -212,6 +232,8 @@ class TestCandidateWalk:
                         w = (a0, a1, a2, a3)
                         if d > a3 and all(any((d - aj) % ai == 0 for aj in w) for ai in (a2, a3)):
                             expected.append((a2, a3))
+                # _a2_a3 also gives x0 and x1 a monomial
+                expected = [p for p in expected if x0_x1_have_monomials(index, a0, a1, *p)]
                 for bound in range(a1, top + 1):
                     got = _a2_a3(index, bound, a0, a1)
                     assert got == [p for p in expected if p[1] <= bound], (a0, a1, bound)
@@ -220,13 +242,14 @@ class TestCandidateWalk:
         "index, bound", [(index, 120) for index in range(1, 13)] + [(16, 232), (24, 352)]
     )
     def test_a2_a3_equals_the_scan(self, index, bound):
-        # the divisor candidates give what scanning every a2 gave, on every
-        # pair up to bound 120 at I = 1..12 and up to the sporadic reach
-        # 15I - 8 at I = 16 and 24
+        # the divisor candidates give what scanning every a2 gave, less the
+        # pairs at which x0 or x1 has no monomial, on every pair up to bound
+        # 120 at I = 1..12 and up to the sporadic reach 15I - 8 at I = 16 and 24
         for a0 in range(1, bound + 1):
             for a1 in range(a0, bound + 1):
                 got = _a2_a3(index, bound, a0, a1)
-                assert got == a2_a3_by_scan(index, bound, a0, a1), (index, a0, a1)
+                expected = [p for p in a2_a3_by_scan(index, bound, a0, a1) if x0_x1_have_monomials(index, a0, a1, *p)]
+                assert got == expected, (index, a0, a1)
 
     @pytest.mark.parametrize(
         "index, bounds", [(index, range(1, 121)) for index in range(1, 13)] + [(16, [232]), (24, [352])]
@@ -242,13 +265,13 @@ class TestCandidateWalk:
 
     @pytest.mark.parametrize("index", range(2, 25))
     def test_free_pairs_are_the_filtered_c0_pairs(self, index):
-        # for a0 + a1 = I the residue walk gives the c = 0 pairs of _a2_a3
+        # for a0 + a1 = I the residue walk gives the c = 0 pairs of the scan
         # at which a0 and a1 each divide some d - aj, at the sporadic reach
         bound = 15 * index - 8
         for a0 in range(1, index // 2 + 1):
             a1 = index - a0
             expected = []
-            for a2, a3 in _a2_a3(index, bound, a0, a1):
+            for a2, a3 in a2_a3_by_scan(index, bound, a0, a1):
                 d = a2 + a3
                 if all((d - a0) % ai == 0 or (d - a1) % ai == 0 or a3 % ai == 0 or a2 % ai == 0 for ai in (a0, a1)):
                     expected.append((a2, a3))
